@@ -3,6 +3,7 @@ stability, and an adversarial tightness search over the constrained domain."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from . import classical, quantum
 from .entropy import (
+    Alpha,
     AlphaLike,
     as_alpha,
     binary_entropy,
@@ -29,10 +31,24 @@ FEASIBILITY_TOL = 1e-12
 
 
 def check_tolerance(override: float | None = None) -> float:
-    """Resolve the verdict tolerance: explicit override, else env var, else default."""
+    """Resolve the verdict tolerance: explicit override, else env var, else default.
+
+    Raises ValueError, naming the source, when the value is not a finite
+    number. Negative values are accepted: they force every check to fail.
+    """
     if override is not None:
-        return float(override)
-    return float(os.environ.get(TOL_ENV_VAR, DEFAULT_CHECK_TOL))
+        source, raw = "tolerance override", override
+    elif TOL_ENV_VAR in os.environ:
+        source, raw = TOL_ENV_VAR, os.environ[TOL_ENV_VAR]
+    else:
+        return DEFAULT_CHECK_TOL
+    try:
+        tol = float(raw)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not math.isfinite(tol):
+        raise ValueError(f"{source} must be a finite number, got {raw!r}")
+    return tol
 
 
 class BoundViolationError(RuntimeError):
@@ -83,33 +99,79 @@ class AdversarialResult:
     seed: int
 
 
-def fannes_bound(epsilon: float, k: int, alpha: AlphaLike) -> BoundValue:
-    """Continuity bound for k-th partial sums at distance epsilon.
+@dataclass(frozen=True)
+class CheckTable:
+    """Bound verifications for every (alpha, k) cell of one pair or of a stack of pairs.
 
-    Orders in (0, 2] use ``eps**alpha * q_log(k+1) + entropy_term(eps)`` with
-    threshold ``alpha**(1/(1-alpha))``; orders above 2 add the binary entropy
-    of eps and tighten the threshold by ``(k+1)/(k+2)``. The rhs is evaluated
-    even when epsilon exceeds the threshold (``applicable`` False); past
-    eps = 1 the entropy terms leave their domain and the rhs is NaN.
+    The arrays have shape ``(..., n_alpha, m)``: entry ``[..., i, k-1]`` is
+    the check at order ``alphas[i]`` and index k. ``satisfied`` holds
+    ``lhs <= rhs + tol`` and carries a verdict only where ``applicable``.
     """
-    a = as_alpha(alpha)
-    if int(k) != k or k < 1:
+
+    alphas: tuple[Alpha, ...]
+    lhs: np.ndarray
+    epsilon: np.ndarray
+    rhs: np.ndarray
+    threshold: np.ndarray
+    applicable: np.ndarray
+    satisfied: np.ndarray
+    margin: np.ndarray
+
+    def cell(self, index: tuple[int, ...]) -> InequalityCheck:
+        """The check at one index into the arrays, as a scalar record."""
+        applicable = bool(self.applicable[index])
+        bound = BoundValue(rhs=float(self.rhs[index]), regime=_regime(self.alphas[index[-2]]),
+                           applicable=applicable, threshold=float(self.threshold[index]))
+        return InequalityCheck(lhs=float(self.lhs[index]), epsilon=float(self.epsilon[index]),
+                               bound=bound, satisfied=bool(self.satisfied[index]) if applicable else None,
+                               margin=float(self.margin[index]))
+
+
+def _regime(a: Alpha) -> str:
+    return "low_alpha" if a.value <= 2.0 else "high_alpha"
+
+
+def _fannes(epsilon, ks, a: Alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ks = np.asarray(ks)
+    if np.any(ks != np.floor(ks)) or np.any(ks < 1):
         raise ValueError("k must be a positive integer")
-    eps = float(epsilon)
-    if not np.isfinite(eps) or eps < 0.0:
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
         raise ValueError("epsilon must be a finite nonnegative real")
+    kf = ks.astype(float)
     x0 = entropy_term_argmax(a)
-    if a.value <= 2.0:
-        regime, threshold = "low_alpha", x0
-    else:
-        regime, threshold = "high_alpha", min(x0, (k + 1) / (k + 2))
-    if eps > 1.0:
-        rhs = float("nan")
-    else:
-        rhs = eps ** a.value * q_log(float(k + 1), a) + entropy_term(eps, a)
-        if regime == "high_alpha":
-            rhs += binary_entropy(eps, a)
-    return BoundValue(rhs=rhs, regime=regime, applicable=eps <= threshold, threshold=threshold)
+    threshold = np.full(kf.shape, x0) if a.value <= 2.0 else np.minimum(x0, (kf + 1.0) / (kf + 2.0))
+    inside = np.minimum(eps, 1.0)
+    rhs = inside ** a.value * q_log(kf + 1.0, a) + entropy_term(inside, a)
+    if a.value > 2.0:
+        rhs = rhs + binary_entropy(inside, a)
+    rhs = np.where(eps > 1.0, np.nan, rhs)
+    threshold = np.broadcast_to(threshold, rhs.shape)
+    return rhs, threshold, eps <= threshold
+
+
+def fannes_bounds(epsilon, ks, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Continuity bounds for k-th partial sums, for arrays of distances and k.
+
+    ``epsilon`` and ``ks`` broadcast together; returns ``(rhs, threshold,
+    applicable)`` arrays of the broadcast shape. Orders in (0, 2] use
+    ``eps**alpha * q_log(k+1) + entropy_term(eps)`` with threshold
+    ``alpha**(1/(1-alpha))``; orders above 2 add the binary entropy of eps and
+    tighten the threshold by ``(k+1)/(k+2)``. The rhs is evaluated even where
+    epsilon exceeds the threshold (``applicable`` False); past eps = 1 the
+    entropy terms leave their domain and the rhs is NaN.
+    """
+    return _fannes(epsilon, ks, as_alpha(alpha))
+
+
+def fannes_bound(epsilon: float, k: int, alpha: AlphaLike) -> BoundValue:
+    """Continuity bound for the k-th partial sum at distance epsilon (see
+    :func:`fannes_bounds`). ``regime`` is "low_alpha" for orders in (0, 2]
+    and "high_alpha" above 2."""
+    a = as_alpha(alpha)
+    rhs, threshold, applicable = _fannes(epsilon, k, a)
+    return BoundValue(rhs=float(rhs), regime=_regime(a), applicable=bool(applicable),
+                      threshold=float(threshold))
 
 
 def entropy_sum_diff(x, y, alpha: AlphaLike) -> float:
@@ -124,36 +186,74 @@ def entropy_sum_diff(x, y, alpha: AlphaLike) -> float:
     return float(np.sum(entropy_term(xv, alpha)) - np.sum(entropy_term(yv, alpha)))
 
 
-def _verdict(lhs: float, eps: float, k: int, alpha: AlphaLike, tol: float | None) -> InequalityCheck:
-    bound = fannes_bound(eps, k, alpha)
-    satisfied = bool(lhs <= bound.rhs + check_tolerance(tol)) if bound.applicable else None
-    return InequalityCheck(lhs=lhs, epsilon=eps, bound=bound, satisfied=satisfied,
-                           margin=bound.rhs - lhs)
+def _check_table(sums_a, sums_b, eps, alphas: tuple[Alpha, ...], tol: float | None) -> CheckTable:
+    tol = check_tolerance(tol)
+    lhs = np.abs(sums_a - sums_b)
+    eps = np.broadcast_to(eps[..., None, :], lhs.shape)
+    ks = np.arange(1, lhs.shape[-1] + 1)
+    per_order = [_fannes(eps[..., i, :], ks, a) for i, a in enumerate(alphas)]
+    rhs, threshold, applicable = (np.stack(col, axis=-2) for col in zip(*per_order))
+    return CheckTable(alphas=alphas, lhs=lhs, epsilon=eps, rhs=rhs, threshold=threshold,
+                      applicable=applicable, satisfied=lhs <= rhs + tol, margin=rhs - lhs)
+
+
+def _orders(alphas) -> tuple[Alpha, ...]:
+    return tuple(as_alpha(a) for a in ([alphas] if np.ndim(alphas) == 0 else alphas))
+
+
+def classical_checks(p, q, alphas, tol: float | None = None) -> CheckTable:
+    """Partial-sum differences of two distributions against the continuity
+    bound, for every order in ``alphas`` and every k, with the distance
+    measured by the k-term gauge of the coordinate differences. ``p`` and
+    ``q`` are :class:`ProbVector` objects or stacks of distributions of shape
+    ``(..., m)``."""
+    alphas = _orders(alphas)
+    eps = classical.partial_distances(p, q)
+    return _check_table(classical.partial_sums(p, alphas), classical.partial_sums(q, alphas),
+                        eps, alphas, tol)
+
+
+def _quantum_sums(rho, sigma, alphas):
+    return (classical.partial_sums(quantum.spectra(rho), alphas),
+            classical.partial_sums(quantum.spectra(sigma), alphas))
+
+
+def quantum_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
+    """Quantum partial-sum differences against the continuity bound, for every
+    order and every k, with the distance measured by the Ky Fan k-norm of the
+    operator difference. ``rho`` and ``sigma`` are density operators or
+    equal-length sequences of them."""
+    alphas = _orders(alphas)
+    eps = quantum.ky_fan_distances(rho, sigma)
+    return _check_table(*_quantum_sums(rho, sigma, alphas), eps, alphas, tol)
+
+
+def fidelity_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
+    """Same checks as :func:`quantum_checks` but with the distance replaced by
+    ``2 * (1 - partial_fidelity)``, which dominates the Ky Fan distance.
+    Applicability is assessed against the substituted distance."""
+    alphas = _orders(alphas)
+    eps = np.maximum(0.0, 2.0 * (1.0 - quantum.partial_fidelities(rho, sigma)[..., 1:]))
+    return _check_table(*_quantum_sums(rho, sigma, alphas), eps, alphas, tol)
 
 
 def check_classical(p, q, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:
-    """Partial-sum difference of two distributions against the continuity bound,
-    with the distance measured by the k-term gauge of the coordinate differences."""
-    lhs = abs(classical.partial_sum(p, k, alpha) - classical.partial_sum(q, k, alpha))
-    eps = classical.partial_distance(p, q, k)
-    return _verdict(lhs, eps, k, alpha, tol)
+    """One cell of :func:`classical_checks`."""
+    p, q = classical._as_prob(p), classical._as_prob(q)
+    k = classical._check_k(k, p.dim)
+    return classical_checks(p, q, alpha, tol).cell((0, k - 1))
 
 
 def check_quantum(rho, sigma, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:
-    """Quantum partial-sum difference against the continuity bound, with the
-    distance measured by the Ky Fan k-norm of the operator difference."""
-    lhs = abs(quantum.quantum_partial_sum(rho, k, alpha) - quantum.quantum_partial_sum(sigma, k, alpha))
-    eps = quantum.ky_fan_distance(rho, sigma, k)
-    return _verdict(lhs, eps, k, alpha, tol)
+    """One cell of :func:`quantum_checks`."""
+    k = classical._check_k(k, rho.dim)
+    return quantum_checks(rho, sigma, alpha, tol).cell((0, k - 1))
 
 
 def check_fidelity_variant(rho, sigma, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:
-    """Same check as :func:`check_quantum` but with the distance replaced by
-    ``2 * (1 - partial_fidelity)``, which dominates the Ky Fan distance.
-    Applicability is assessed against the substituted distance."""
-    lhs = abs(quantum.quantum_partial_sum(rho, k, alpha) - quantum.quantum_partial_sum(sigma, k, alpha))
-    eps = max(0.0, 2.0 * (1.0 - quantum.partial_fidelity(rho, sigma, k)))
-    return _verdict(lhs, eps, k, alpha, tol)
+    """One cell of :func:`fidelity_checks`."""
+    k = classical._check_k(k, rho.dim)
+    return fidelity_checks(rho, sigma, alpha, tol).cell((0, k - 1))
 
 
 def stability_threshold(k: int, alpha: AlphaLike) -> float:

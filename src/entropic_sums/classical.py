@@ -100,10 +100,22 @@ def _as_prob(p) -> ProbVector:
     return p if isinstance(p, ProbVector) else ProbVector(p)
 
 
+def _values(p) -> np.ndarray:
+    return p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+
+
 def _check_k(k: int, m: int) -> int:
     if int(k) != k or not 1 <= k <= m:
         raise ValueError(f"k must be an integer in [1, {m}], got {k!r}")
     return int(k)
+
+
+def _top_sums(x) -> np.ndarray:
+    """Running sums of the entries along the last axis, largest entry first.
+
+    Entry k-1 is the sum of the k largest entries, so one sort gives every k.
+    """
+    return np.cumsum(np.flip(np.sort(x, axis=-1), axis=-1), axis=-1)
 
 
 def sum_largest_abs(x, k: int) -> float:
@@ -113,8 +125,23 @@ def sum_largest_abs(x, k: int) -> float:
     """
     arr = np.asarray(x, dtype=float).ravel()
     k = _check_k(k, arr.size)
-    mags = np.sort(np.abs(arr))
-    return float(mags[arr.size - k:].sum())
+    return float(_top_sums(np.abs(arr))[k - 1])
+
+
+def partial_sums(values, alphas) -> np.ndarray:
+    """Every partial entropic sum of every order, for stacks of distributions.
+
+    ``values`` holds probabilities along its last axis (a :class:`ProbVector`
+    or an array of shape ``(..., m)`` with entries in [0, 1]); ``alphas`` is an
+    order or a sequence of orders. Returns shape ``(..., n_alpha, m)``, where
+    entry ``[..., i, k-1]`` is the sum of the k largest entropy terms of order
+    ``alphas[i]``. The terms are sorted once per order and summed largest
+    first.
+    """
+    vals = _values(values)
+    alphas = [alphas] if np.ndim(alphas) == 0 else list(alphas)
+    terms = np.stack([entropy_term(vals, a) for a in alphas], axis=-2)
+    return _top_sums(terms)
 
 
 def partial_sum(p, k: int, alpha: AlphaLike) -> float:
@@ -126,8 +153,7 @@ def partial_sum(p, k: int, alpha: AlphaLike) -> float:
     """
     p = _as_prob(p)
     k = _check_k(k, p.dim)
-    terms = np.sort(entropy_term(p.values, alpha))
-    return float(terms[p.dim - k:].sum())
+    return float(partial_sums(p, alpha)[0, k - 1])
 
 
 def kolmogorov_distance(p, q) -> float:
@@ -138,15 +164,27 @@ def kolmogorov_distance(p, q) -> float:
     return 0.5 * float(np.abs(p.values - q.values).sum())
 
 
+def partial_distances(p, q) -> np.ndarray:
+    """Every partial distance of two distributions, or of two stacks of them.
+
+    Entry k-1 along the last axis is the sum of the k largest absolute
+    coordinate differences. ``p`` and ``q`` are :class:`ProbVector` objects or
+    arrays of shape ``(..., m)`` with the same m.
+    """
+    pv, qv = _values(p), _values(q)
+    if pv.shape[-1:] != qv.shape[-1:]:
+        raise ValueError(f"dimension mismatch: {pv.shape} vs {qv.shape}")
+    return _top_sums(np.abs(pv - qv))
+
+
 def partial_distance(p, q, k: int) -> float:
     """Sum of the k largest absolute coordinate differences of two distributions.
 
     Nondecreasing in k; at k = m it equals twice the Kolmogorov distance.
     """
     p, q = _as_prob(p), _as_prob(q)
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return sum_largest_abs(p.values - q.values, k)
+    k = _check_k(k, p.dim)
+    return float(partial_distances(p, q)[k - 1])
 
 
 def marginal(r: JointDistribution, which: str) -> ProbVector:

@@ -20,22 +20,21 @@ from .classical import (
     ProbVector,
     instability_example,
     max_partial_bounds,
-    partial_distance,
-    partial_sum,
+    partial_distances,
+    partial_sums,
 )
 from .quantum import (
     DensityOperator,
     PureEnsemble,
     RankOnePOVM,
     density_from_ensemble,
-    eigenvalues_descending,
-    ky_fan_distance,
-    partial_fidelity,
+    ky_fan_distances,
+    partial_fidelities,
     partial_trace,
     povm_joint_probs,
     product_monotonicity_preconditions,
-    quantum_partial_sum,
     schmidt_pure_state,
+    spectra,
 )
 from .serialize import fmt_cell, load_instance
 
@@ -90,17 +89,42 @@ class RunConfig:
 
 
 def _k_range(policy, top: int) -> list[int]:
+    """The requested k that fit a dimension, in the order given."""
     if policy in (None, "all"):
         return list(range(1, top + 1))
     return [k for k in policy if 1 <= k <= top]
 
 
-def _row_from_check(experiment: str, alpha: float, k: int, dim: int,
-                    chk: bounds.InequalityCheck, seed: int) -> ReportRow:
-    return ReportRow(experiment=experiment, alpha=alpha, k=k, dim=dim,
-                     epsilon=chk.epsilon, lhs=chk.lhs, rhs=chk.bound.rhs,
-                     applicable=chk.bound.applicable, satisfied=chk.satisfied,
-                     margin=chk.margin, seed=seed)
+def _k_exact(policy, dim: int) -> list[int]:
+    """The requested k for one dimension; a k outside [1, dim] is an error."""
+    ks = _k_range(policy, dim)
+    if policy not in (None, "all") and len(ks) < len(policy):
+        bad = next(k for k in policy if not 1 <= k <= dim)
+        raise ValueError(f"k={bad} is outside [1, {dim}] for dimension {dim}")
+    return ks
+
+
+def _k_ranges(policy, dims: list[int]) -> list[list[int]]:
+    """The requested k per dimension, each filtered to fit; a k that fits none
+    of the dimensions is an error."""
+    ranges = [_k_range(policy, d) for d in dims]
+    if policy not in (None, "all"):
+        fitted = {k for ks in ranges for k in ks}
+        unfit = [k for k in policy if k not in fitted]
+        if unfit:
+            raise ValueError(f"k={unfit[0]} fits none of the dimensions {dims}")
+    return ranges
+
+
+def _check_rows(experiment: str, table: bounds.CheckTable, alphas, ks: list[int], dim: int,
+                seed: int, at: tuple[int, ...] = ()) -> list[ReportRow]:
+    """Rows of one pair's checks, order-major and k-minor; ``at`` selects the
+    pair in a stacked table."""
+    eps, lhs, rhs, app, sat, margin = (getattr(table, name)[at].tolist() for name in
+                                       ("epsilon", "lhs", "rhs", "applicable", "satisfied", "margin"))
+    return [ReportRow(experiment, alpha, k, dim, eps[i][k - 1], lhs[i][k - 1], rhs[i][k - 1],
+                      app[i][k - 1], sat[i][k - 1] if app[i][k - 1] else None, margin[i][k - 1], seed)
+            for i, alpha in enumerate(alphas) for k in ks]
 
 
 def run_sweep(config: RunConfig) -> list[ReportRow]:
@@ -108,25 +132,38 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
 
     Each trial draws, per dimension, one base instance and a perturbed partner
     at a log-uniform target distance, then checks every (alpha, k) cell.
-    Draw order is fixed, so equal configs give identical output.
+    Draw order is fixed, so equal configs give identical output. All draws
+    come first; the pairs of each dimension are then checked as one stack.
     """
+    dims = list(config.dims)
+    alphas = config.alpha_grid
+    k_lists = _k_ranges(config.k_policy, dims)
+    tol = bounds.check_tolerance(config.tolerance)
     rng = np.random.default_rng(config.seed)
-    rows: list[ReportRow] = []
+    classical_pairs: dict[int, list] = {m: [] for m in dims}
+    quantum_pairs: dict[int, list] = {d: [] for d in dims}
     for _ in range(config.trials):
-        for m in config.dims:
+        for m in dims:
             p = sampling.sample_simplex(m, rng)
             q = sampling.sample_near(p, 10.0 ** rng.uniform(-3.0, 0.0), rng)
-            for alpha in config.alpha_grid:
-                for k in _k_range(config.k_policy, m):
-                    chk = bounds.check_classical(p, q, k, alpha, tol=config.tolerance)
-                    rows.append(_row_from_check("sweep_classical", alpha, k, m, chk, config.seed))
-        for d in config.dims:
+            classical_pairs[m].append((p.values, q.values))
+        for d in dims:
             rho = sampling.sample_density(d, rng)
             sigma = sampling.sample_near(rho, 10.0 ** rng.uniform(-3.0, 0.0), rng)
-            for alpha in config.alpha_grid:
-                for k in _k_range(config.k_policy, d):
-                    chk = bounds.check_quantum(rho, sigma, k, alpha, tol=config.tolerance)
-                    rows.append(_row_from_check("sweep_quantum", alpha, k, d, chk, config.seed))
+            quantum_pairs[d].append((rho, sigma))
+    tables = {}
+    for m, pairs in classical_pairs.items():
+        p, q = (np.array(side) for side in zip(*pairs))
+        tables["sweep_classical", m] = bounds.classical_checks(p, q, alphas, tol)
+    for d, pairs in quantum_pairs.items():
+        tables["sweep_quantum", d] = bounds.quantum_checks(*zip(*pairs), alphas, tol)
+    rows: list[ReportRow] = []
+    for t in range(config.trials):
+        for experiment in ("sweep_classical", "sweep_quantum"):
+            for i, (m, ks) in enumerate(zip(dims, k_lists)):
+                # a dimension listed n times stacks n pairs per trial, in list order
+                at = (t * dims.count(m) + dims[:i].count(m),)
+                rows += _check_rows(experiment, tables[experiment, m], alphas, ks, m, config.seed, at)
     return rows
 
 
@@ -135,69 +172,62 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
+def _value_rows(experiment: str, values: np.ndarray, alphas, ks: list[int], dim: int,
+                seed: int) -> list[ReportRow]:
+    """``eval`` rows carrying one value per (alpha, k) cell in ``lhs``."""
+    vals = values.tolist()
+    return [ReportRow(experiment, alpha, k, dim, None, vals[i][k - 1], None, None, None, None, seed)
+            for i, alpha in enumerate(alphas) for k in ks]
+
+
 def _cmd_eval(args) -> list[ReportRow]:
     if len(args.inputs) > 2:
         raise ValueError("eval takes one or two input files")
     objs = [load_instance(p) for p in args.inputs]
     alphas = args.alpha or [1.0]
     seed = args.seed
-    rows: list[ReportRow] = []
-
-    def sum_rows(experiment, dim, value_fn):
-        for alpha in alphas:
-            for k in _k_range(args.k, dim):
-                rows.append(ReportRow(experiment, alpha, k, dim, None,
-                                      value_fn(k, alpha), None, None, None, None, seed))
 
     if len(objs) == 1:
         obj = objs[0]
         if isinstance(obj, ProbVector):
-            sum_rows("eval_classical_partial_sum", obj.dim,
-                     lambda k, a: partial_sum(obj, k, a))
+            experiment, probs = "eval_classical_partial_sum", obj.values
         elif isinstance(obj, DensityOperator):
-            sum_rows("eval_quantum_partial_sum", obj.dim,
-                     lambda k, a: quantum_partial_sum(obj, k, a))
+            experiment, probs = "eval_quantum_partial_sum", spectra(obj)
         elif isinstance(obj, JointDistribution):
-            flat = obj.flattened()
-            sum_rows("eval_joint_partial_sum", flat.dim,
-                     lambda k, a: partial_sum(flat, k, a))
+            experiment, probs = "eval_joint_partial_sum", obj.flattened().values
         elif isinstance(obj, PureEnsemble):
-            rho = density_from_ensemble(obj)
-            sum_rows("eval_quantum_partial_sum", rho.dim,
-                     lambda k, a: quantum_partial_sum(rho, k, a))
+            experiment, probs = "eval_quantum_partial_sum", spectra(density_from_ensemble(obj))
         else:
             raise ValueError("a POVM cannot be evaluated by itself; pair it with an ensemble")
-        return rows
+        ks = _k_exact(args.k, probs.size)
+        return _value_rows(experiment, partial_sums(probs, alphas), alphas, ks, probs.size, seed)
 
     first, second = objs
     if isinstance(first, ProbVector) and isinstance(second, ProbVector):
         if first.dim != second.dim:
             raise ValueError("the two distributions must have equal length")
-        sum_rows("eval_classical_partial_sum_a", first.dim,
-                 lambda k, a: partial_sum(first, k, a))
-        sum_rows("eval_classical_partial_sum_b", second.dim,
-                 lambda k, a: partial_sum(second, k, a))
-        for k in _k_range(args.k, first.dim):
-            rows.append(ReportRow("eval_partial_distance", None, k, first.dim,
-                                  partial_distance(first, second, k),
-                                  None, None, None, None, None, seed))
-        return rows
+        dim = first.dim
+        ks = _k_exact(args.k, dim)
+        sums = partial_sums(np.stack([first.values, second.values]), alphas)
+        dists = partial_distances(first, second).tolist()
+        return (_value_rows("eval_classical_partial_sum_a", sums[0], alphas, ks, dim, seed)
+                + _value_rows("eval_classical_partial_sum_b", sums[1], alphas, ks, dim, seed)
+                + [ReportRow("eval_partial_distance", None, k, dim, dists[k - 1],
+                             None, None, None, None, None, seed) for k in ks])
     if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
         if first.dim != second.dim:
             raise ValueError("the two density operators must have equal dimension")
-        sum_rows("eval_quantum_partial_sum_a", first.dim,
-                 lambda k, a: quantum_partial_sum(first, k, a))
-        sum_rows("eval_quantum_partial_sum_b", second.dim,
-                 lambda k, a: quantum_partial_sum(second, k, a))
-        for k in _k_range(args.k, first.dim):
-            rows.append(ReportRow("eval_kyfan_distance", None, k, first.dim,
-                                  ky_fan_distance(first, second, k),
-                                  None, None, None, None, None, seed))
-        for k in range(0, first.dim + 1):
-            rows.append(ReportRow("eval_partial_fidelity", None, k, first.dim, None,
-                                  partial_fidelity(first, second, k),
-                                  None, None, None, None, seed))
-        return rows
+        dim = first.dim
+        ks = _k_exact(args.k, dim)
+        sums = partial_sums(spectra([first, second]), alphas)
+        dists = ky_fan_distances(first, second).tolist()
+        fids = partial_fidelities(first, second).tolist()
+        return (_value_rows("eval_quantum_partial_sum_a", sums[0], alphas, ks, dim, seed)
+                + _value_rows("eval_quantum_partial_sum_b", sums[1], alphas, ks, dim, seed)
+                + [ReportRow("eval_kyfan_distance", None, k, dim, dists[k - 1],
+                             None, None, None, None, None, seed) for k in ks]
+                + [ReportRow("eval_partial_fidelity", None, k, dim, None, fids[k],
+                             None, None, None, None, seed) for k in range(0, dim + 1)])
     ens_povm = {type(first), type(second)} == {PureEnsemble, RankOnePOVM}
     if ens_povm:
         ens = first if isinstance(first, PureEnsemble) else second
@@ -205,12 +235,15 @@ def _cmd_eval(args) -> list[ReportRow]:
         rho = density_from_ensemble(ens)
         joint = povm_joint_probs(ens, povm).flattened()
         n_out = povm.n_outcomes
-        for alpha in alphas:
-            for k in _k_range(args.k, rho.dim):
-                lhs = quantum_partial_sum(rho, k, alpha)
-                rhs = partial_sum(joint, min(k * n_out, joint.dim), alpha)
+        ks = _k_exact(args.k, rho.dim)
+        lhs = partial_sums(spectra(rho), alphas).tolist()
+        rhs = partial_sums(joint, alphas).tolist()
+        rows = []
+        for i, alpha in enumerate(alphas):
+            for k in ks:
+                lhs_k, rhs_k = lhs[i][k - 1], rhs[i][min(k * n_out, joint.dim) - 1]
                 rows.append(ReportRow("eval_povm_refinement", alpha, k, rho.dim, None,
-                                      lhs, rhs, None, None, rhs - lhs, seed))
+                                      lhs_k, rhs_k, None, None, rhs_k - lhs_k, seed))
         return rows
     raise ValueError("eval supports a single instance, a pair of like instances, "
                      "or an ensemble together with a POVM")
@@ -219,21 +252,18 @@ def _cmd_eval(args) -> list[ReportRow]:
 def _cmd_check(args) -> list[ReportRow]:
     first, second = (load_instance(p) for p in args.inputs)
     alphas = args.alpha or [1.0]
-    rows: list[ReportRow] = []
+    tol = bounds.check_tolerance()
     if isinstance(first, ProbVector) and isinstance(second, ProbVector):
-        for alpha in alphas:
-            for k in _k_range(args.k, min(first.dim, second.dim)):
-                chk = bounds.check_classical(first, second, k, alpha)
-                rows.append(_row_from_check("check_classical", alpha, k, first.dim, chk, args.seed))
-        return rows
+        table = bounds.classical_checks(first, second, alphas, tol)
+        ks = _k_exact(args.k, first.dim)
+        return _check_rows("check_classical", table, alphas, ks, first.dim, args.seed)
     if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
-        for alpha in alphas:
-            for k in _k_range(args.k, min(first.dim, second.dim)):
-                chk = bounds.check_quantum(first, second, k, alpha)
-                rows.append(_row_from_check("check_quantum", alpha, k, first.dim, chk, args.seed))
-                chk_f = bounds.check_fidelity_variant(first, second, k, alpha)
-                rows.append(_row_from_check("check_fidelity", alpha, k, first.dim, chk_f, args.seed))
-        return rows
+        quantum = bounds.quantum_checks(first, second, alphas, tol)
+        fidelity = bounds.fidelity_checks(first, second, alphas, tol)
+        ks = _k_exact(args.k, first.dim)
+        rows = zip(_check_rows("check_quantum", quantum, alphas, ks, first.dim, args.seed),
+                   _check_rows("check_fidelity", fidelity, alphas, ks, first.dim, args.seed))
+        return [row for pair in rows for row in pair]
     raise ValueError("check needs two distributions or two density operators")
 
 
@@ -282,19 +312,22 @@ def _cmd_demo_instability(args) -> list[ReportRow]:
 def _cmd_demo_bell(args) -> list[ReportRow]:
     rows = []
     tol = bounds.check_tolerance()
+    alphas = args.alpha or [1.0]
+    ks = _k_exact(args.k, 2)
     for theta in args.theta or [np.pi / 6, np.pi / 4]:
         joint = schmidt_pure_state(theta)
         rho_a = partial_trace(joint, (2, 2), keep="A")
         commuting, distinct = product_monotonicity_preconditions(joint, (2, 2))
-        eig = eigenvalues_descending(rho_a).values
+        eig = spectra(rho_a)
         print(f"theta={theta:.6g}: reduced eigenvalues ({eig[0]:.6g}, {eig[1]:.6g}), "
               f"commuting={commuting}, products_distinct={distinct}", file=sys.stderr)
         applicable = commuting and distinct
         experiment = f"demo_bell:theta={theta:.6g}"
-        for alpha in args.alpha or [1.0]:
-            for k in _k_range(args.k, 2):
-                lhs = quantum_partial_sum(rho_a, k, alpha)
-                rhs = quantum_partial_sum(joint, 2 * k, alpha)
+        reduced = partial_sums(eig, alphas).tolist()
+        joint_sums = partial_sums(spectra(joint), alphas).tolist()
+        for i, alpha in enumerate(alphas):
+            for k in ks:
+                lhs, rhs = reduced[i][k - 1], joint_sums[i][2 * k - 1]
                 satisfied = bool(lhs <= rhs + tol) if applicable else None
                 rows.append(ReportRow(experiment, alpha, k, 4, None, lhs, rhs,
                                       applicable, satisfied, rhs - lhs, args.seed))
@@ -304,9 +337,10 @@ def _cmd_demo_bell(args) -> list[ReportRow]:
 def _cmd_demo_maxbounds(args) -> list[ReportRow]:
     rows = []
     tol = bounds.check_tolerance()
-    for m in args.dims or [6]:
+    dims = args.dims or [6]
+    for m, ks in zip(dims, _k_ranges(args.k, dims)):
         for alpha in args.alpha or [1.0]:
-            for k in _k_range(args.k, m):
+            for k in ks:
                 lower, upper, _cap = max_partial_bounds(k, alpha)
                 found, _vec = sampling.maximize_partial_sum(m, k, alpha,
                                                             restarts=args.restarts,

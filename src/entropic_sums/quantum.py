@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical import JointDistribution, ProbVector, partial_sum
+from .classical import JointDistribution, ProbVector, _check_k, partial_sum
 from .entropy import AlphaLike
 
 #: Hermiticity / unit-trace construction tolerance for density operators.
@@ -37,7 +37,11 @@ def _as_matrix(x) -> np.ndarray:
 
 
 class DensityOperator:
-    """d x d complex Hermitian, positive semidefinite, unit-trace matrix."""
+    """d x d complex Hermitian, positive semidefinite, unit-trace matrix.
+
+    The eigenvalues computed for the PSD check are kept, so the spectrum is
+    decomposed once per state.
+    """
 
     def __init__(self, matrix):
         m = _as_matrix(matrix)
@@ -47,10 +51,13 @@ class DensityOperator:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(m.trace() - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"trace must be 1, got {m.trace()}")
-        if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+        eigenvalues = np.linalg.eigvalsh(m)
+        if eigenvalues.min() < -PSD_TOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         m.flags.writeable = False
+        eigenvalues.flags.writeable = False
         self._matrix = m
+        self._eigenvalues = eigenvalues
 
     @property
     def matrix(self) -> np.ndarray:
@@ -115,23 +122,41 @@ class RankOnePOVM:
         return self.vectors.shape[1]
 
 
-def _check_k(k: int, top: int) -> int:
-    if int(k) != k or not 1 <= k <= top:
-        raise ValueError(f"k must be an integer in [1, {top}], got {k!r}")
-    return int(k)
+def _matrices(states) -> np.ndarray:
+    """The matrix of one density operator, or the stacked matrices of a sequence."""
+    if isinstance(states, DensityOperator):
+        return states.matrix
+    return np.stack([s.matrix for s in states])
+
+
+def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _matrices(rho), _matrices(sigma)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    return a, b
+
+
+def spectra(states) -> np.ndarray:
+    """Spectra of one density operator or of a sequence of them, largest first.
+
+    Returns shape ``(d,)`` or ``(n, d)``. Eigenvalues are clamped to [0, 1],
+    zeroed below the solver-noise floor, and renormalized, so numerical
+    residue never leaks into downstream entropy terms. Reads the eigenvalues
+    kept at construction; no decomposition is repeated.
+    """
+    if isinstance(states, DensityOperator):
+        vals = states._eigenvalues[::-1]
+    else:
+        vals = np.stack([s._eigenvalues for s in states])[:, ::-1]
+    vals = np.clip(vals, 0.0, 1.0)
+    vals[vals < EIGENVALUE_NOISE_FLOOR] = 0.0
+    return vals / vals.sum(axis=-1, keepdims=True)
 
 
 def eigenvalues_descending(rho: DensityOperator) -> ProbVector:
-    """Spectrum of a density operator as a probability vector, largest first.
-
-    Eigenvalues are clamped to [0, 1], zeroed below the solver-noise floor,
-    and renormalized, so numerical residue never leaks into downstream
-    entropy terms.
-    """
-    vals = np.linalg.eigvalsh(rho.matrix)[::-1]
-    vals = np.clip(vals, 0.0, 1.0)
-    vals[vals < EIGENVALUE_NOISE_FLOOR] = 0.0
-    return ProbVector(vals / vals.sum())
+    """Spectrum of a density operator as a probability vector, largest first
+    (see :func:`spectra`)."""
+    return ProbVector(spectra(rho))
 
 
 def singular_values_descending(x) -> np.ndarray:
@@ -148,7 +173,7 @@ def ky_fan_norm(x, k: int) -> float:
     """
     s = singular_values_descending(x)
     k = _check_k(k, s.size)
-    return float(s[:k].sum())
+    return float(np.cumsum(s)[k - 1])
 
 
 def quantum_partial_sum(rho: DensityOperator, k: int, alpha: AlphaLike) -> float:
@@ -160,11 +185,20 @@ def quantum_partial_sum(rho: DensityOperator, k: int, alpha: AlphaLike) -> float
     return partial_sum(eigenvalues_descending(rho), k, alpha)
 
 
+def ky_fan_distances(rho, sigma) -> np.ndarray:
+    """Every Ky Fan distance of two density operators, or of two sequences of them.
+
+    Entry k-1 along the last axis is the Ky Fan k-norm of the difference; all
+    k come from one stacked singular-value decomposition.
+    """
+    a, b = _pair(rho, sigma)
+    return np.cumsum(np.linalg.svd(a - b, compute_uv=False), axis=-1)
+
+
 def ky_fan_distance(rho: DensityOperator, sigma: DensityOperator, k: int) -> float:
     """Ky Fan k-norm of the difference of two density operators."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return ky_fan_norm(rho.matrix - sigma.matrix, k)
+    k = _check_k(k, rho.dim)
+    return float(ky_fan_distances(rho, sigma)[k - 1])
 
 
 def tensor_product(rho: DensityOperator, omega: DensityOperator) -> DensityOperator:
@@ -216,26 +250,36 @@ def product_monotonicity_preconditions(rho_joint: DensityOperator, dims: tuple[i
     return commuting, products_distinct
 
 
-def psd_sqrt(rho: DensityOperator) -> np.ndarray:
-    """Unique positive square root, via Hermitian eigendecomposition."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
+def psd_sqrt(rho) -> np.ndarray:
+    """Unique positive square root of a density operator, or of each in a
+    sequence, via Hermitian eigendecomposition."""
+    vals, vecs = np.linalg.eigh(_matrices(rho))
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def partial_fidelities(rho, sigma) -> np.ndarray:
+    """Every partial fidelity of two density operators, or of two sequences of them.
+
+    Entry k along the last axis, for k = 0..d, is the tail sum of the
+    decreasing singular values of sqrt(rho) sqrt(sigma) from index k+1
+    through d: k = 0 gives the full sum (the square root of the Uhlmann
+    fidelity) and k = d gives exactly 0. The tails are summed smallest first,
+    so they are nonincreasing in k in floating point too.
+    """
+    _pair(rho, sigma)
+    s = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)
+    tails = np.flip(np.cumsum(np.flip(s, axis=-1), axis=-1), axis=-1)
+    return np.concatenate([tails, np.zeros_like(tails[..., :1])], axis=-1)
 
 
 def partial_fidelity(rho: DensityOperator, sigma: DensityOperator, k: int) -> float:
-    """Tail sum of the decreasing singular values of sqrt(rho) sqrt(sigma).
-
-    Sums the values from index k+1 through d, so k = 0 gives the full sum
-    (the square root of the Uhlmann fidelity) and k = d gives 0. Nonincreasing
-    in k.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    """Tail sum of the decreasing singular values of sqrt(rho) sqrt(sigma)
+    from index k+1 through d (see :func:`partial_fidelities`). Nonincreasing
+    in k."""
     if int(k) != k or not 0 <= k <= rho.dim:
         raise ValueError(f"k must be an integer in [0, {rho.dim}], got {k!r}")
-    s = singular_values_descending(psd_sqrt(rho) @ psd_sqrt(sigma))
-    return float(s[int(k):].sum())
+    return float(partial_fidelities(rho, sigma)[int(k)])
 
 
 def density_from_ensemble(ensemble: PureEnsemble) -> DensityOperator:

@@ -1,0 +1,248 @@
+"""Property tests for the batched all-k, all-order numeric core, and call-count
+guards that keep the sweep's work independent of the number of cells."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import entropic_sums
+from entropic_sums import (
+    DensityOperator,
+    RunConfig,
+    binary_entropy,
+    entropy_term,
+    entropy_term_argmax,
+    fannes_bounds,
+    ky_fan_distances,
+    partial_fidelities,
+    partial_sums,
+    psd_sqrt,
+    q_log,
+    run_sweep,
+    sample_density,
+    sample_near,
+    sample_simplex,
+)
+
+from _oracles import mp_fannes_rhs, mp_partial_sum
+
+#: Orders away from the near-1 band, where the ratio kernels lose accuracy.
+ORDERS = st.one_of(st.sampled_from((0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0)),
+                   st.floats(0.05, 0.9), st.floats(1.1, 9.0))
+
+
+@st.composite
+def prob_stacks(draw):
+    """An (n, m) stack of probability vectors, some with exact zeros."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 9))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m)))
+    raw = raw.reshape(n, m)
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def density_pairs(seed, n, d):
+    rng = np.random.default_rng(seed)
+    rhos = [sample_density(d, rng) for _ in range(n)]
+    sigmas = [sample_near(r, 10.0 ** rng.uniform(-3.0, 0.0), rng) for r in rhos]
+    return rhos, sigmas
+
+
+class TestPartialSums:
+    @settings(max_examples=150, deadline=None)
+    @given(prob_stacks(), st.lists(ORDERS, min_size=1, max_size=3))
+    def test_matches_per_k_loop(self, probs, alphas):
+        sums = partial_sums(probs, alphas)
+        n, m = probs.shape
+        assert sums.shape == (n, len(alphas), m)
+        for i in range(n):
+            for j, a in enumerate(alphas):
+                terms = np.sort(entropy_term(probs[i], a))
+                for k in range(1, m + 1):
+                    assert sums[i, j, k - 1] == pytest.approx(terms[m - k:].sum(), rel=0, abs=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(prob_stacks(), ORDERS)
+    def test_matches_high_precision_oracle(self, probs, alpha):
+        sums = partial_sums(probs, [alpha])
+        for i, p in enumerate(probs):
+            for k in range(1, p.size + 1):
+                expected = float(mp_partial_sum([float(v) for v in p], k, alpha))
+                assert sums[i, 0, k - 1] == pytest.approx(expected, rel=0, abs=1e-13)
+
+
+class TestKyFanDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 7))
+    def test_matches_per_k_svd(self, seed, n, d):
+        rhos, sigmas = density_pairs(seed, n, d)
+        dists = ky_fan_distances(rhos, sigmas)
+        assert dists.shape == (n, d)
+        for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+            s = np.linalg.svd(rho.matrix - sigma.matrix, compute_uv=False)
+            for k in range(1, d + 1):
+                assert dists[i, k - 1] == pytest.approx(s[:k].sum(), rel=0, abs=1e-13)
+            assert np.array_equal(ky_fan_distances(rho, sigma), dists[i])
+
+
+class TestPartialFidelities:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 7))
+    def test_tails_nonincreasing_and_exact_ends(self, seed, n, d):
+        rhos, sigmas = density_pairs(seed, n, d)
+        fids = partial_fidelities(rhos, sigmas)
+        assert fids.shape == (n, d + 1)
+        assert np.all(np.diff(fids, axis=-1) <= 0.0)
+        assert np.all(fids[:, d] == 0.0)
+        for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+            s = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)
+            assert fids[i, 0] == pytest.approx(s.sum(), rel=0, abs=1e-13)
+
+    def test_pure_orthogonal_states(self):
+        rho = DensityOperator(np.diag([1.0, 0.0]))
+        sigma = DensityOperator(np.diag([0.0, 1.0]))
+        assert partial_fidelities(rho, sigma).tolist() == [0.0, 0.0, 0.0]
+
+
+class TestFannesBounds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6), st.integers(1, 8), ORDERS)
+    def test_matches_oracle_per_cell(self, eps_list, top, alpha):
+        eps = np.array(eps_list)[:, None]
+        ks = np.arange(1, top + 1)
+        rhs, threshold, applicable = fannes_bounds(eps, ks, alpha)
+        assert rhs.shape == threshold.shape == applicable.shape == (eps.size, top)
+        x0 = entropy_term_argmax(alpha)
+        for i, e in enumerate(eps_list):
+            for k in ks:
+                cell = (i, k - 1)
+                expected_threshold = x0 if alpha <= 2.0 else min(x0, (k + 1) / (k + 2))
+                assert threshold[cell] == expected_threshold
+                assert applicable[cell] == (e <= expected_threshold)
+                if e > 1.0:
+                    assert np.isnan(rhs[cell])
+                else:
+                    expected = float(mp_fannes_rhs(e, int(k), alpha))
+                    assert rhs[cell] == pytest.approx(expected, rel=1e-11, abs=1e-12)
+
+    def test_high_order_threshold_is_k_dependent(self):
+        _, threshold, _ = fannes_bounds(0.1, [1, 2, 3], 10.0)
+        x0 = entropy_term_argmax(10.0)
+        assert threshold.tolist() == [2 / 3, min(x0, 3 / 4), min(x0, 4 / 5)]
+        assert threshold[0] < x0
+
+    def test_validates_distance_once_for_the_array(self):
+        with pytest.raises(ValueError):
+            fannes_bounds([0.1, -0.2], 1, 1.0)
+        with pytest.raises(ValueError):
+            fannes_bounds([0.1, np.nan], 1, 1.0)
+        with pytest.raises(ValueError):
+            fannes_bounds(0.1, [1, 0], 1.0)
+
+
+def spectrum(rho):
+    vals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, 1.0)
+    vals[vals < 1e-13] = 0.0
+    return vals / vals.sum()
+
+
+def per_cell_sweep(config):
+    """Rows of ``run_sweep`` rebuilt one cell at a time from the same draws,
+    with each quantity computed directly from the kernels and numpy."""
+    rng = np.random.default_rng(config.seed)
+    tol = 1e-9
+    rows = []
+
+    def emit(experiment, dim, values_p, values_q, distances):
+        for alpha in config.alpha_grid:
+            for k in config.k_policy:
+                if k > dim:
+                    continue
+                top = lambda v: np.sort(entropy_term(v, alpha))[dim - k:].sum()
+                lhs = abs(top(values_p) - top(values_q))
+                eps = distances[:k].sum()
+                threshold = entropy_term_argmax(alpha)
+                if eps > 1.0:
+                    rhs = float("nan")
+                else:
+                    rhs = eps ** alpha * q_log(k + 1.0, alpha) + entropy_term(eps, alpha)
+                if alpha > 2.0:
+                    rhs += binary_entropy(min(eps, 1.0), alpha)
+                    threshold = min(threshold, (k + 1) / (k + 2))
+                applicable = bool(eps <= threshold)
+                satisfied = bool(lhs <= rhs + tol) if applicable else None
+                rows.append((experiment, alpha, k, dim, eps, lhs, rhs, applicable, satisfied))
+
+    for _ in range(config.trials):
+        for m in config.dims:
+            p = sample_simplex(m, rng)
+            q = sample_near(p, 10.0 ** rng.uniform(-3.0, 0.0), rng)
+            emit("sweep_classical", m, p.values, q.values,
+                 np.sort(np.abs(p.values - q.values))[::-1])
+        for d in config.dims:
+            rho = sample_density(d, rng)
+            sigma = sample_near(rho, 10.0 ** rng.uniform(-3.0, 0.0), rng)
+            emit("sweep_quantum", d, spectrum(rho), spectrum(sigma),
+                 np.linalg.svd(rho.matrix - sigma.matrix, compute_uv=False))
+    return rows
+
+
+class TestRunSweepBatched:
+    def test_duplicate_unsorted_dims_match_per_cell_loop(self):
+        config = RunConfig(seed=11, trials=3, alpha_grid=[0.5, 3.0], k_policy=[1, 3], dims=[8, 2, 8])
+        rows = run_sweep(config)
+        expected = per_cell_sweep(config)
+        assert len(rows) == len(expected) == 3 * 2 * 2 * (2 + 1 + 2)
+        for row, (experiment, alpha, k, dim, eps, lhs, rhs, applicable, satisfied) in zip(rows, expected):
+            assert (row.experiment, row.alpha, row.k, row.dim) == (experiment, alpha, k, dim)
+            assert row.epsilon == pytest.approx(eps, rel=0, abs=1e-13)
+            assert row.lhs == pytest.approx(lhs, rel=0, abs=1e-13)
+            assert row.rhs == pytest.approx(rhs, rel=0, abs=1e-13, nan_ok=True)
+            assert row.margin == pytest.approx(rhs - lhs, rel=0, abs=1e-13, nan_ok=True)
+            assert (row.applicable, row.satisfied) == (applicable, satisfied)
+            assert type(row.applicable) is bool
+
+    def test_k_fitting_no_dimension_is_an_error(self):
+        with pytest.raises(ValueError, match="k=5"):
+            run_sweep(RunConfig(seed=0, trials=1, alpha_grid=[1.0], k_policy=[1, 5], dims=[2, 4]))
+
+
+class TestCallCountGuards:
+    """Deterministic counts, no timing: the sweep's numeric work must come from
+    stacked calls, not from one call per (trial, alpha, k) cell."""
+
+    def test_linalg_calls(self, monkeypatch):
+        calls = []
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, counted)
+        trials, dims = 5, [2, 4, 8]
+        run_sweep(RunConfig(seed=1, trials=trials, alpha_grid=[0.5, 1.0, 3.0], dims=dims))
+        # sampling validates four matrices per (trial, dim); then one stacked svd per dim
+        assert 0 < len(calls) <= 4 * trials * len(dims) + len(dims)
+
+    def test_entropy_term_calls_do_not_grow_with_trials(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return entropy_term(*args, **kwargs)
+
+        modules = [getattr(entropic_sums, name) for name in
+                   ("entropy", "classical", "quantum", "bounds", "sampling", "cli")]
+        for mod in modules:
+            if getattr(mod, "entropy_term", None) is entropy_term:
+                monkeypatch.setattr(mod, "entropy_term", counted)
+
+        def count(trials):
+            calls.clear()
+            run_sweep(RunConfig(seed=1, trials=trials, alpha_grid=[0.5, 1.0, 3.0], dims=[2, 4, 8]))
+            return len(calls)
+
+        assert count(2) == count(8) > 0

@@ -273,6 +273,21 @@ class TestToleranceOverride:
         monkeypatch.setenv("ENTROPIC_SUMS_TOL", "-1.0")
         assert check_tolerance(1e-6) == 1e-6
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "", "1e-9x"])
+    def test_non_finite_env_value_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("ENTROPIC_SUMS_TOL", value)
+        with pytest.raises(ValueError, match="ENTROPIC_SUMS_TOL"):
+            check_tolerance()
+        with pytest.raises(ValueError, match="ENTROPIC_SUMS_TOL"):
+            check_classical([0.6, 0.4], [0.5, 0.5], 1, 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_override_is_rejected(self, value):
+        with pytest.raises(ValueError, match="override"):
+            check_tolerance(value)
+        with pytest.raises(ValueError, match="override"):
+            check_classical([0.6, 0.4], [0.5, 0.5], 1, 1.0, tol=value)
+
 
 class TestStability:
     def test_frozen_value(self):

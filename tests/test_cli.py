@@ -118,6 +118,29 @@ class TestCheckCommand:
     def test_mismatched_kinds(self, prob_files, density_files):
         assert cli_main(["check", prob_files[0], density_files[0]]) == 1
 
+    def test_k_out_of_range_is_an_error(self, prob_files, capsys):
+        code = cli_main(["check", *prob_files, "--k", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "k=5" in captured.err and "dimension 2" in captured.err
+
+    def test_density_rows_interleave_per_cell(self, density_files, capsys):
+        assert cli_main(["check", *density_files, "--alpha", "1,3", "--k", "1,3"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [(r["experiment"], r["alpha"], r["k"]) for r in rows] == [
+            (exp, alpha, k) for alpha in ("1", "3") for k in ("1", "3")
+            for exp in ("check_quantum", "check_fidelity")]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_tolerance_is_an_error(self, prob_files, monkeypatch, capsys, value):
+        monkeypatch.setenv("ENTROPIC_SUMS_TOL", value)
+        code = cli_main(["check", *prob_files, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "ENTROPIC_SUMS_TOL" in captured.err
+
 
 class TestSweepCommand:
     def test_exit_zero_and_rows(self, capsys):
@@ -141,6 +164,16 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert any(r["satisfied"] == "false" for r in parse_csv(out))
+
+    def test_k_filtered_per_dim_and_error_when_fitting_none(self, capsys):
+        code = cli_main(["sweep", "--alpha", "1", "--dims", "2,4", "--k", "3", "--trials", "2"])
+        rows = parse_csv(capsys.readouterr().out)
+        assert code == 0
+        assert [(r["k"], r["dim"]) for r in rows] == [("3", "4")] * 4
+        code = cli_main(["sweep", "--alpha", "1", "--dims", "2", "--k", "1,3", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "k=3" in captured.err
 
     def test_run_sweep_library_api(self):
         rows = run_sweep(RunConfig(seed=3, trials=5, alpha_grid=[0.7, 2.0], dims=[3]))
@@ -203,6 +236,18 @@ class TestDemoCommands:
         assert float(row["epsilon"]) <= float(row["lhs"]) <= float(row["rhs"])
 
 
+    def test_maxbounds_k_fitting_no_dim_is_an_error(self, capsys):
+        code = cli_main(["demo", "maxbounds", "--dims", "2", "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "k=3" in captured.err
+
+    def test_bell_k_out_of_range_is_an_error(self, capsys):
+        assert cli_main(["demo", "bell", "--k", "3"]) == 1
+        assert "k=3" in capsys.readouterr().err
+
+
 class TestFormatsAndErrors:
     def test_json_format(self, prob_files, capsys):
         code = cli_main(["check", *prob_files, "--alpha", "1", "--format", "json"])
@@ -211,6 +256,10 @@ class TestFormatsAndErrors:
         objs = [json.loads(line) for line in out.strip().split("\n")]
         assert all(o["experiment"] == "check_classical" for o in objs)
         assert all(isinstance(o["satisfied"], (bool, type(None))) for o in objs)
+
+    def test_eval_k_out_of_range_is_an_error(self, prob_files, capsys):
+        assert cli_main(["eval", *prob_files, "--k", "0,1"]) == 1
+        assert "k=0" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert cli_main(["eval", "/nonexistent/file.json"]) == 1
