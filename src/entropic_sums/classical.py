@@ -12,6 +12,31 @@ from .entropy import AlphaLike, as_alpha, entropy_term, entropy_term_argmax, q_l
 SIMPLEX_TOL = 1e-9
 
 
+def _onto_simplex(arr: np.ndarray) -> np.ndarray:
+    """Validate a fresh float array as a distribution over all its entries.
+
+    Rejects non-finite entries, entries below ``-SIMPLEX_TOL`` and totals more
+    than ``SIMPLEX_TOL`` from 1; clamps the rest to be nonnegative, rescales
+    the total to 1 and returns the result read-only.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probabilities must be finite")
+    if np.any(arr < -SIMPLEX_TOL):
+        raise ValueError("negative probability beyond tolerance")
+    arr = np.clip(arr, 0.0, None)
+    total = arr.sum()
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    if abs(total - 1.0) > 1e-14:
+        # dividing by a total that is already 1 to machine precision would
+        # only inject rounding noise and break exact permutation symmetry
+        arr = arr / total
+    else:
+        arr = np.minimum(arr, 1.0)
+    arr.flags.writeable = False
+    return arr
+
+
 class ProbVector:
     """Finite probability distribution on m points.
 
@@ -25,22 +50,7 @@ class ProbVector:
             arr = arr.reshape(1)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a probability vector must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probabilities must be finite")
-        if np.any(arr < -SIMPLEX_TOL):
-            raise ValueError("negative probability beyond tolerance")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if abs(total - 1.0) > 1e-14:
-            # dividing by a total that is already 1 to machine precision would
-            # only inject rounding noise and break exact permutation symmetry
-            arr = arr / total
-        else:
-            arr = np.minimum(arr, 1.0)
-        arr.flags.writeable = False
-        self._values = arr
+        self._values = _onto_simplex(arr)
 
     @property
     def values(self) -> np.ndarray:
@@ -64,20 +74,7 @@ class JointDistribution:
         arr = np.array(values, dtype=float, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a joint distribution must be a nonempty 2-d grid")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probabilities must be finite")
-        if np.any(arr < -SIMPLEX_TOL):
-            raise ValueError("negative probability beyond tolerance")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if abs(total - 1.0) > 1e-14:
-            arr = arr / total
-        else:
-            arr = np.minimum(arr, 1.0)
-        arr.flags.writeable = False
-        self._values = arr
+        self._values = _onto_simplex(arr)
 
     @property
     def values(self) -> np.ndarray:
@@ -213,6 +210,24 @@ def max_partial_bounds(k: int, alpha: AlphaLike) -> tuple[float, float, float]:
     lower = q_log(float(k), a)
     upper = q_log(float(k + 1), a)
     return lower, upper, 1.0 / (k ** a.value * upper)
+
+
+def max_partial_sum(m: int, k: int, alpha: AlphaLike) -> float:
+    """Maximum of the k-th partial sum over the m-point simplex, in closed form.
+
+    The entropy term is strictly concave with its peak at x* (see
+    :func:`entropy_term_argmax`), so the k counted terms share their mass
+    equally. With m = k all mass is counted and the maximum is ``q_log(k)``;
+    with m > k each counted point takes min(x*, 1/k), the rest of the mass goes
+    to the uncounted points, and the maximum is ``k * entropy_term(min(x*, 1/k))``.
+    """
+    a = as_alpha(alpha)
+    if int(m) != m or m < 1:
+        raise ValueError("m must be a positive integer")
+    k = _check_k(k, int(m))
+    if m == k:
+        return q_log(float(k), a)
+    return k * entropy_term(min(entropy_term_argmax(a), 1.0 / k), a)
 
 
 def instability_example(eps: float) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
-"""Random instance generators and the simplex partial-sum maximizer.
+"""Random instance generators: simplex points, density operators, ensembles,
+POVMs and near-pairs.
 
 All generators take a ``numpy.random.Generator`` (the package standardizes on
 NumPy's seedable PCG64 streams) so sweeps are reproducible bit for bit.
@@ -9,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import ProbVector
-from .entropy import AlphaLike, as_alpha, entropy_term
 from .quantum import DensityOperator, PureEnsemble, RankOnePOVM, ky_fan_norm
 
 
@@ -86,58 +86,3 @@ def sample_near(obj, epsilon: float, rng: np.random.Generator):
         t = 1.0 if dist <= eps else eps / dist
         return DensityOperator(obj.matrix + t * diff)
     raise TypeError("expected a ProbVector or a DensityOperator")
-
-
-def maximize_partial_sum(m: int, k: int, alpha: AlphaLike, restarts: int = 100,
-                         seed: int = 0, max_steps: int = 2000) -> tuple[float, ProbVector]:
-    """Random-restart hill climb for the maximal k-th partial sum over the m-simplex.
-
-    Moves mass between random coordinate pairs (which preserves the simplex
-    exactly) with a shrinking step, restarting from fresh uniform draws on
-    independent substreams of the seed. Returns the best value and its vector.
-    Heuristic only: no global-optimality guarantee.
-    """
-    a = as_alpha(alpha)
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    if int(k) != k or not 1 <= k <= m:
-        raise ValueError(f"k must be an integer in [1, {m}]")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-
-    def value(vec: np.ndarray) -> float:
-        terms = np.sort(entropy_term(vec, a))
-        return float(terms[m - k:].sum())
-
-    best_val = -1.0
-    best_vec: np.ndarray | None = None
-    for restart in range(restarts):
-        rng = np.random.default_rng([int(seed), restart])
-        p = rng.exponential(size=m)
-        p /= p.sum()
-        val = value(p)
-        step = 0.5
-        steps = 0
-        while step > 1e-7 and steps < max_steps:
-            improved = False
-            for _ in range(6 * m):
-                steps += 1
-                i, j = rng.integers(m), rng.integers(m)
-                if i == j:
-                    continue
-                t = step * rng.random() * p[j]
-                q = p.copy()
-                q[j] -= t
-                q[i] += t
-                v = value(q)
-                if v > val:
-                    p, val = q, v
-                    improved = True
-                if steps >= max_steps:
-                    break
-            if not improved:
-                step *= 0.5
-        if val > best_val:
-            best_val = val
-            best_vec = p
-    return best_val, ProbVector(best_vec)

@@ -48,6 +48,18 @@ def mp_partial_sum(probs, k, a):
     return mp.fsum(terms[:k])
 
 
+def mp_max_partial_sum(m, k, a):
+    """Largest k-th partial sum over the m-point simplex: the entropy term is
+    concave, so k counted points share the mass equally, each at the term's
+    peak a**(1/(1-a)) (1/e at a = 1) unless 1/k comes first; with m = k all
+    the mass is counted."""
+    a = mp.mpf(a)
+    if m == k:
+        return mp_qlog(k, a)
+    peak = mp.exp(-1) if a == 1 else a ** (1 / (1 - a))
+    return k * mp_entropy_term(min(peak, mp.mpf(1) / k), a)
+
+
 def mp_instability(eps):
     eps = mp.mpf(eps)
     d1 = (-(1 - eps) * mp.log(1 - eps) - eps * mp.log(2)) / 2

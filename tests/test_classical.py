@@ -2,21 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropic_sums import (
     JointDistribution,
     ProbVector,
+    entropy_term_argmax,
     instability_example,
     kolmogorov_distance,
     marginal,
     max_partial_bounds,
+    max_partial_sum,
     partial_distance,
     partial_sum,
     q_log,
     sum_largest_abs,
 )
 
-from _oracles import mp_instability, mp_partial_sum
+from _oracles import mp_instability, mp_max_partial_sum, mp_partial_sum
 
 ALPHAS = (0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 7.0)
 
@@ -251,6 +255,53 @@ class TestMaxPartialBounds:
         # strictly under 0.1 past k = 5
         for k in (6, 8, 12):
             assert max_partial_bounds(k, 1.0)[2] < 0.1
+
+
+def equal_split(m, k, alpha):
+    """The maximizing point: the uniform one when m = k, else k entries at
+    min(x*, 1/k) and the rest of the mass spread over the other m - k."""
+    if m == k:
+        return np.full(m, 1.0 / m)
+    x = min(entropy_term_argmax(alpha), 1.0 / k)
+    return np.array([x] * k + [max(1.0 - k * x, 0.0) / (m - k)] * (m - k))
+
+
+class TestMaxPartialSum:
+    def test_matches_oracle(self):
+        for a in (0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0):
+            for m in range(1, 9):
+                for k in range(1, m + 1):
+                    expected = float(mp_max_partial_sum(m, k, a))
+                    assert max_partial_sum(m, k, a) == pytest.approx(expected, abs=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.data(),
+           st.one_of(st.sampled_from((0.3, 0.5, 1.0, 2.0, 2.5, 5.0, 10.0)),
+                     st.floats(0.05, 0.9), st.floats(1.1, 9.0)),
+           st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), st.floats(0.0, 1.0))
+    def test_equal_split_witness_attains_maximum(self, m, data, a, raw, t):
+        k = data.draw(st.integers(1, m))
+        best = max_partial_sum(m, k, a)
+        witness = equal_split(m, k, a)
+        assert partial_sum(witness, k, a) == pytest.approx(best, abs=1e-14)
+        # no point of the simplex beats it, near the witness or far from it
+        r = np.array(raw[:m])
+        r = r / r.sum() if r.sum() > 0.0 else np.full(m, 1.0 / m)
+        p = (1.0 - t) * witness + t * r
+        assert partial_sum(p / p.sum(), k, a) <= best + 1e-12
+
+    def test_bracket_sandwich(self):
+        for a in (0.5, 1.0, 2.0, 3.0):
+            for k in (1, 2, 3):
+                lower, upper, _ = max_partial_bounds(k, a)
+                for m in range(max(k, 2), 9):
+                    assert lower - 1e-9 <= max_partial_sum(m, k, a) <= upper + 1e-9
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            max_partial_sum(3, 4, 1.0)
+        with pytest.raises(ValueError):
+            max_partial_sum(0, 1, 1.0)
 
 
 class TestInstabilityExample:

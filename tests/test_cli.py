@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from entropic_sums import RunConfig, cli_main, run_sweep
+from entropic_sums import RunConfig, cli_main, max_partial_sum, run_sweep
 from entropic_sums.cli import CSV_HEADER
+
+#: Values of ENTROPIC_SUMS_TOL that every command must reject with exit 1.
+NON_FINITE_TOLS = ["nan", "inf", "-inf", "abc"]
 
 
 def write_json(path, doc):
@@ -132,7 +135,7 @@ class TestCheckCommand:
             (exp, alpha, k) for alpha in ("1", "3") for k in ("1", "3")
             for exp in ("check_quantum", "check_fidelity")]
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("value", NON_FINITE_TOLS)
     def test_non_finite_tolerance_is_an_error(self, prob_files, monkeypatch, capsys, value):
         monkeypatch.setenv("ENTROPIC_SUMS_TOL", value)
         code = cli_main(["check", *prob_files, "--k", "1"])
@@ -201,6 +204,17 @@ class TestAdversarialCommand:
         infeasible = [r for r in rows if float(r["epsilon"]) == 0.9][0]
         assert infeasible["applicable"] == "false"
 
+    @pytest.mark.parametrize("value", NON_FINITE_TOLS)
+    def test_non_finite_tolerance_is_an_error(self, monkeypatch, capsys, value):
+        # eps = 0.9 is past the bound's threshold, so no search runs at all
+        monkeypatch.setenv("ENTROPIC_SUMS_TOL", value)
+        code = cli_main(["adversarial", "--alpha", "1", "--k", "1", "--eps", "0.9",
+                         "--restarts", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "ENTROPIC_SUMS_TOL" in captured.err
+
 
 class TestDemoCommands:
     def test_instability_values(self, capsys):
@@ -235,6 +249,21 @@ class TestDemoCommands:
         assert row["satisfied"] == "true"
         assert float(row["epsilon"]) <= float(row["lhs"]) <= float(row["rhs"])
 
+    def test_maxbounds_reports_closed_form_for_old_restarts_argv(self, capsys):
+        code = cli_main(["demo", "maxbounds", "--dims", "8", "--k", "3", "--alpha", "2.5",
+                         "--restarts", "10", "--seed", "11"])
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert code == 0
+        assert row["satisfied"] == "true"
+        assert float(row["lhs"]) == max_partial_sum(8, 3, 2.5)
+        assert cli_main(["demo", "maxbounds", "--help"]) == 0
+        assert "--restarts" not in capsys.readouterr().out
+
+    def test_maxbounds_single_point_is_not_applicable(self, capsys):
+        code = cli_main(["demo", "maxbounds", "--dims", "1", "--k", "1"])
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert code == 0
+        assert (row["lhs"], row["applicable"], row["satisfied"]) == ("0", "false", "")
 
     def test_maxbounds_k_fitting_no_dim_is_an_error(self, capsys):
         code = cli_main(["demo", "maxbounds", "--dims", "2", "--k", "3"])

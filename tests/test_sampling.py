@@ -1,14 +1,10 @@
-"""Tests for random instance generators and the simplex maximizer."""
+"""Tests for the random instance generators."""
 
 import numpy as np
 import pytest
 
 from entropic_sums import (
-    entropy_term,
-    entropy_term_argmax,
     ky_fan_norm,
-    maximize_partial_sum,
-    q_log,
     sample_density,
     sample_ensemble,
     sample_near,
@@ -124,40 +120,3 @@ class TestSamplePOVMAndEnsemble:
             assert ens.weights.values.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(np.linalg.norm(ens.states, axis=1), 1.0, atol=1e-12)
 
-
-class TestMaximizePartialSum:
-    def test_full_sum_reaches_uniform_maximum(self):
-        for a in (0.5, 1.0, 2.0):
-            found, vec = maximize_partial_sum(4, 4, a, restarts=30, seed=1)
-            assert found == pytest.approx(q_log(4, a), abs=1e-8)
-            assert np.allclose(np.sort(vec.values), 0.25, atol=1e-3)
-
-    def test_single_term_reaches_peak(self):
-        for a in (0.5, 1.0, 3.0):
-            found, _ = maximize_partial_sum(3, 1, a, restarts=30, seed=2)
-            peak = entropy_term(entropy_term_argmax(a), a)
-            assert found == pytest.approx(peak, abs=1e-9)
-
-    def test_bracket_sandwich(self):
-        # found maxima always live inside the analytic bracket
-        rng = np.random.default_rng(15)
-        for a in (0.5, 1.0, 2.0, 3.0):
-            for k in (1, 2, 3):
-                m = k + 2
-                found, vec = maximize_partial_sum(m, k, a, restarts=60, seed=int(rng.integers(10000)))
-                if k == 1:
-                    lower = entropy_term(entropy_term_argmax(a), a)
-                    upper = lower
-                else:
-                    lower, upper = q_log(k, a), q_log(k + 1, a)
-                assert found <= upper + 1e-9
-                assert found >= lower - 1e-6
-                assert np.all(vec.values >= 0.0)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            maximize_partial_sum(3, 4, 1.0)
-        with pytest.raises(ValueError):
-            maximize_partial_sum(0, 1, 1.0)
-        with pytest.raises(ValueError):
-            maximize_partial_sum(3, 1, 1.0, restarts=0)
