@@ -286,25 +286,27 @@ def stability_delta(xi: float, k: int, alpha: AlphaLike) -> float:
     return numerator / normalizer
 
 
-def _project_pair(x: np.ndarray, y: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cheap feasibility restoration for the constrained search domain.
+def _project(pairs: np.ndarray, epsilon: float) -> np.ndarray:
+    """Cheap feasibility restoration for a stack of pairs of shape ``(..., 2, k)``.
 
     Clamp negatives, rescale each vector into the unit l1 ball, then shrink y
     toward x until the difference fits. The shrink is a convex combination, so
-    it cannot break the first two constraints.
+    it cannot break the first two constraints. A vector that needs no rescale
+    or shrink comes back bitwise unchanged.
     """
-    x = np.clip(x, 0.0, None)
-    y = np.clip(y, 0.0, None)
-    sx = x.sum()
-    if sx > 1.0:
-        x = x / sx
-    sy = y.sum()
-    if sy > 1.0:
-        y = y / sy
-    gap = float(np.abs(x - y).sum())
-    if gap > epsilon:
-        y = x + (epsilon / gap) * (y - x)
-    return x, y
+    pairs = np.clip(pairs, 0.0, None)
+    pairs /= np.maximum(pairs.sum(axis=-1, keepdims=True), 1.0)
+    x, y = pairs[..., 0, :], pairs[..., 1, :]
+    gap = np.abs(x - y).sum(axis=-1, keepdims=True)
+    shrink = gap > epsilon
+    pairs[..., 1, :] = np.where(shrink, x + (epsilon / np.where(shrink, gap, 1.0)) * (y - x), y)
+    return pairs
+
+
+def _gaps(pairs: np.ndarray, a: Alpha) -> np.ndarray:
+    """``|sum entropy_term(x) - sum entropy_term(y)|`` for every pair of a stack."""
+    sums = entropy_term(pairs, a).sum(axis=-1)
+    return np.abs(sums[..., 0] - sums[..., 1])
 
 
 def _pair_residual(x: np.ndarray, y: np.ndarray, epsilon: float) -> float:
@@ -316,6 +318,65 @@ def _pair_residual(x: np.ndarray, y: np.ndarray, epsilon: float) -> float:
     )
 
 
+#: Restarts that :func:`adversarial_search` advances together, whatever the
+#: restart count.
+_RESTART_BLOCK = 64
+#: Floats in one batch of proposed pairs; a round whose moves would need more
+#: is scored in column chunks, so memory does not grow with k squared.
+_BATCH_FLOATS = 2 ** 17
+
+
+def _search_block(gens: list, k: int, a: Alpha, eps: float,
+                  max_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coordinate ascent for one block of restarts in lockstep, one generator each.
+
+    Returns the final pairs ``(R, 2, k)``, their gaps ``(R,)`` and the moves
+    made by all restarts together.
+    """
+    state = _project(np.stack([g.random((2, k)) for g in gens]), eps)
+    value = _gaps(state, a)
+    step = np.full(len(gens), 0.5)
+    live = np.arange(len(gens))
+    moves = done = 0
+    while live.size and done < max_steps:
+        n = min(8 * k, max_steps - done)
+        u = np.stack([gens[r].random((n, 3)) for r in live])
+        side = (u[..., 0] >= 0.5).astype(np.intp)
+        coord = np.minimum((u[..., 1] * k).astype(np.intp), k - 1)
+        delta = step[live, None] * (2.0 * u[..., 2] - 1.0)
+        # Speculative first improvement: score every move still ahead of each
+        # restart's cursor against its current state, accept the first that
+        # beats it, and score the rest again from the new state. Rejected
+        # moves leave the state alone, so this equals taking them one by one.
+        # A restart leaves the round once its cursor is past the last move.
+        cursor = np.zeros(live.size, dtype=np.intp)
+        improved = np.zeros(live.size, dtype=bool)
+        rows = np.arange(live.size)
+        while rows.size:
+            lo = int(cursor[rows].min())
+            hi = min(n, lo + max(1, _BATCH_FLOATS // (rows.size * 2 * k)))
+            cols = np.arange(lo, hi)
+            props = np.repeat(state[live[rows], None], hi - lo, axis=1)
+            props[np.arange(rows.size)[:, None], cols - lo, side[rows, lo:hi],
+                  coord[rows, lo:hi]] += delta[rows, lo:hi]
+            props = _project(props, eps)
+            scores = _gaps(props, a)
+            better = (scores > value[live[rows], None]) & (cols >= cursor[rows, None])
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)
+            (i,) = np.nonzero(hit)
+            state[live[rows[i]]] = props[i, first[i]]
+            value[live[rows[i]]] = scores[i, first[i]]
+            improved[rows[i]] = True
+            cursor[rows] = np.where(hit, lo + first + 1, hi)
+            rows = rows[cursor[rows] < n]
+        done += n
+        moves += n * live.size
+        step[live[~improved]] *= 0.5
+        live = live[step[live] > 1e-7]
+    return state, value, moves
+
+
 def adversarial_search(k: int, alpha: AlphaLike, epsilon: float, restarts: int = 100,
                        seed: int = 0, max_steps: int = 600,
                        tol: float | None = None) -> AdversarialResult:
@@ -323,8 +384,20 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float, restarts: int =
 
     Random restarts followed by projected coordinate ascent over pairs of
     nonnegative k-vectors with unit l1 caps and difference capped by epsilon.
-    Each restart runs on an independent substream of the seed, so results are
-    reproducible and restarts are order-independent.
+    Restart r draws from its own substream ``[seed, r]``: a start pair, then
+    for each round of ``n = min(8k, max_steps - moves so far)`` moves an
+    ``(n, 3)`` block of uniforms that picks x or y, the coordinate and the
+    signed step. A move is kept when it raises the gap; a round without one
+    halves the step, and a restart stops once the step is at most 1e-7 or
+    after ``max_steps`` moves. Results are reproducible and restarts are
+    order-independent.
+
+    Restarts run in lockstep, in blocks of ``_RESTART_BLOCK``, and each round
+    is scored in batches: every remaining move of the round (up to
+    ``_BATCH_FLOATS`` per batch) is applied to the current state and scored
+    in one call, the first improving move is taken, and the moves after it
+    are scored again from the new state. This gives the same pairs as taking
+    the moves one at a time.
 
     Raises ValueError when epsilon is outside the bound's applicable range and
     :class:`BoundViolationError` if the best pair beats the bound beyond
@@ -339,34 +412,16 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float, restarts: int =
             f"epsilon {epsilon} exceeds the applicable threshold {bound.threshold} for k={k}, alpha={a.value}")
     eps = float(epsilon)
     best_value = -1.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
+    best_pair: np.ndarray | None = None
     total_steps = 0
-    for restart in range(restarts):
-        rng = np.random.default_rng([int(seed), restart])
-        x, y = _project_pair(rng.random(k), rng.random(k), eps)
-        value = abs(entropy_sum_diff(x, y, a))
-        step = 0.5
-        steps = 0
-        while step > 1e-7 and steps < max_steps:
-            improved = False
-            for _ in range(8 * k):
-                steps += 1
-                cx, cy = x.copy(), y.copy()
-                target = cx if rng.random() < 0.5 else cy
-                target[rng.integers(k)] += step * (2.0 * rng.random() - 1.0)
-                cx, cy = _project_pair(cx, cy, eps)
-                candidate = abs(entropy_sum_diff(cx, cy, a))
-                if candidate > value:
-                    x, y, value = cx, cy, candidate
-                    improved = True
-                if steps >= max_steps:
-                    break
-            if not improved:
-                step *= 0.5
-        total_steps += steps
-        if value > best_value:
-            best_value = value
-            best_pair = (x, y)
+    for first in range(0, restarts, _RESTART_BLOCK):
+        gens = [np.random.default_rng([int(seed), r])
+                for r in range(first, min(first + _RESTART_BLOCK, restarts))]
+        pairs, values, moves = _search_block(gens, k, a, eps, max_steps)
+        total_steps += moves
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, best_pair = float(values[i]), pairs[i].copy()
     x, y = best_pair
     if _pair_residual(x, y, eps) > FEASIBILITY_TOL:
         raise RuntimeError("projection failed to restore feasibility")

@@ -59,16 +59,19 @@ class ReportRow:
     seed: int
 
     def to_csv(self) -> str:
-        return ",".join(fmt_cell(getattr(self, f.name)) for f in fields(self))
+        return ",".join(fmt_cell(getattr(self, name)) for name in _ROW_FIELDS)
 
     def to_json(self) -> str:
         payload = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _ROW_FIELDS:
+            v = getattr(self, name)
             if isinstance(v, (np.floating, np.integer)):
                 v = v.item()
-            payload[f.name] = v
+            payload[name] = v
         return json.dumps(payload)
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass

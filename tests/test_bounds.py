@@ -1,7 +1,13 @@
 """Tests for bound evaluation, inequality checks, stability, and the tightness search."""
 
+import itertools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropic_sums import (
     BoundViolationError,
@@ -9,6 +15,7 @@ from entropic_sums import (
     ProbVector,
     adversarial_search,
     binary_entropy,
+    bounds,
     check_classical,
     check_fidelity_variant,
     check_quantum,
@@ -380,6 +387,121 @@ class TestAdversarialSearch:
         witness = exc_info.value.witness
         assert witness is not None
         assert witness.achieved > 0.0
+
+
+def _sequential_search(k, alpha, eps, restarts, seed, max_steps=600):
+    """The search one move at a time on the same per-restart draws: a start
+    pair, then an (n, 3) block of uniforms per round of n <= 8k moves."""
+    def project(x, y):
+        x, y = np.clip(x, 0.0, None), np.clip(y, 0.0, None)
+        if x.sum() > 1.0:
+            x = x / x.sum()
+        if y.sum() > 1.0:
+            y = y / y.sum()
+        gap = float(np.abs(x - y).sum())
+        if gap > eps:
+            y = x + (eps / gap) * (y - x)
+        return x, y
+
+    def gap_value(x, y):
+        return abs(float(np.sum(entropy_term(x, alpha)) - np.sum(entropy_term(y, alpha))))
+
+    best, best_pair, total = -1.0, None, 0
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, restart])
+        x, y = project(*rng.random((2, k)))
+        value, step, steps = gap_value(x, y), 0.5, 0
+        while step > 1e-7 and steps < max_steps:
+            n = min(8 * k, max_steps - steps)
+            improved = False
+            for u0, u1, u2 in rng.random((n, 3)):
+                cx, cy = x.copy(), y.copy()
+                target = cx if u0 < 0.5 else cy
+                target[min(int(u1 * k), k - 1)] += step * (2.0 * u2 - 1.0)
+                cx, cy = project(cx, cy)
+                candidate = gap_value(cx, cy)
+                if candidate > value:
+                    x, y, value, improved = cx, cy, candidate, True
+            steps += n
+            if not improved:
+                step *= 0.5
+        total += steps
+        if value > best:
+            best, best_pair = value, (x, y)
+    return best_pair, best, total
+
+
+class TestLockstepSearch:
+    """The batched driver against the one-move-at-a-time loop, and its cost."""
+
+    @staticmethod
+    def _assert_matches_sequential(k, a, eps, restarts, seed):
+        (x, y), achieved, iterations = _sequential_search(k, a, eps, restarts, seed)
+        res = adversarial_search(k, a, eps, restarts=restarts, seed=seed)
+        assert np.array_equal(res.x, x) and np.array_equal(res.y, y)
+        assert res.achieved == achieved
+        assert res.iterations == iterations
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 5.0])
+    def test_bitwise_equal_to_sequential_loop(self, k, a):
+        seeds = itertools.cycle((0, 7, 123))
+        for eps, restarts in itertools.product((0.05, 0.1), (1, 2, 5)):
+            self._assert_matches_sequential(k, a, eps, restarts, next(seeds))
+
+    def test_blocking_does_not_change_the_result(self):
+        self._assert_matches_sequential(1, 1.5, 0.1, bounds._RESTART_BLOCK + 3, 5)
+
+    @pytest.mark.parametrize("batch_floats", [1, 40])
+    def test_chunked_rounds_do_not_change_the_result(self, monkeypatch, batch_floats):
+        monkeypatch.setattr(bounds, "_BATCH_FLOATS", batch_floats)
+        for k, restarts in ((2, 3), (4, 5)):
+            self._assert_matches_sequential(k, 2.5, 0.1, restarts, 11)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("restarts", [2, 20])
+    def test_entropy_term_calls_are_batched(self, monkeypatch, k, restarts):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return entropy_term(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "entropy_term", counted)
+        res = adversarial_search(k, 1.5, 0.1, restarts=restarts, seed=3)
+        assert 0 < len(calls) <= res.iterations / 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 5), a=st.floats(0.3, 6.0, exclude_min=True, exclude_max=True),
+           frac=st.one_of(st.just(0.0), st.floats(0.0, 0.9)), restarts=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_properties(self, k, a, frac, restarts, seed):
+        eps = frac * fannes_bound(0.0, k, a).threshold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = adversarial_search(k, a, eps, restarts=restarts, seed=seed)
+            again = adversarial_search(k, a, eps, restarts=restarts, seed=seed)
+        assert bounds._pair_residual(res.x, res.y, eps) <= 1e-12
+        assert res.tightness <= 1.0 + 1e-9
+        assert res.iterations <= restarts * 600
+        assert np.array_equal(res.x, again.x) and np.array_equal(res.y, again.y)
+        assert (res.achieved, res.iterations) == (again.achieved, again.iterations)
+
+    @staticmethod
+    def _peak_bytes(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            adversarial_search(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_restarts(self):
+        assert self._peak_bytes(1, 1.0, 0.1, restarts=2000) < 5 * 2**20
+
+    def test_memory_does_not_grow_with_k_squared(self):
+        # one unchunked round at k = 32 would hold 64 * 256 proposed pairs of 64 floats
+        assert self._peak_bytes(32, 1.0, 0.05, restarts=64, max_steps=256) < 10 * 2**20
 
 
 class TestFullEntropyCouplingBound:
