@@ -109,8 +109,10 @@ def _k_exact(policy, dim: int) -> list[int]:
 
 
 def _k_ranges(policy, dims: list[int]) -> list[list[int]]:
-    """The requested k per dimension, each filtered to fit; a k that fits none
-    of the dimensions is an error."""
+    """The requested k per dimension, each filtered to fit; a dimension below 1
+    or a k that fits none of the dimensions is an error."""
+    if any(d < 1 for d in dims):
+        raise ValueError(f"every dimension must be at least 1, got {dims}")
     ranges = [_k_range(policy, d) for d in dims]
     if policy not in (None, "all"):
         fitted = {k for ks in ranges for k in ks}
@@ -290,18 +292,14 @@ def _cmd_adversarial(args) -> list[ReportRow]:
                     rows.append(ReportRow("adversarial", alpha, k, k, eps, None, bound.rhs,
                                           False, None, None, args.seed))
                     continue
+                satisfied = True
                 try:
-                    res = bounds.adversarial_search(k, alpha, eps, restarts=args.restarts,
-                                                    seed=args.seed, tol=tol)
-                    rows.append(ReportRow("adversarial", alpha, k, k, eps, res.achieved,
-                                          res.bound_rhs, True, True,
-                                          res.bound_rhs - res.achieved, args.seed))
+                    res = bounds.adversarial_search(k, alpha, eps, seed=args.seed, tol=tol)
                 except bounds.BoundViolationError as exc:
-                    res = exc.witness
                     print(f"bound violation: {exc}", file=sys.stderr)
-                    rows.append(ReportRow("adversarial", alpha, k, k, eps, res.achieved,
-                                          res.bound_rhs, True, False,
-                                          res.bound_rhs - res.achieved, args.seed))
+                    res, satisfied = exc.witness, False
+                rows.append(ReportRow("adversarial", alpha, k, k, eps, res.achieved, res.bound_rhs,
+                                      True, satisfied, res.bound_rhs - res.achieved, args.seed))
     return rows
 
 
@@ -389,6 +387,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--seed", type=int, default=0)
+    # accepted for old command lines; the results are exact, so it has no effect
+    inert_restarts = _Parser(add_help=False)
+    inert_restarts.add_argument("--restarts", type=int, default=100, help=argparse.SUPPRESS)
 
     parser = _Parser(prog="entropic-sums",
                      description="Partial entropic sums, continuity bounds, and demos")
@@ -413,11 +414,10 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--trials", type=int, default=100)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_adv = sub.add_parser("adversarial", parents=[common], help="tightness search grid")
+    p_adv = sub.add_parser("adversarial", parents=[common, inert_restarts], help="exact bound tightness grid")
     p_adv.add_argument("--alpha", type=_float_list, default=None)
     p_adv.add_argument("--k", type=_int_list, default=None)
     p_adv.add_argument("--eps", type=_float_list, default=None)
-    p_adv.add_argument("--restarts", type=int, default=100)
     p_adv.set_defaults(func=_cmd_adversarial)
 
     p_demo = sub.add_parser("demo", help="worked examples")
@@ -433,12 +433,10 @@ def _build_parser() -> _Parser:
     p_bell.add_argument("--k", type=_k_policy, default="all")
     p_bell.set_defaults(func=_cmd_demo_bell)
 
-    p_max = demo_sub.add_parser("maxbounds", parents=[common])
+    p_max = demo_sub.add_parser("maxbounds", parents=[common, inert_restarts])
     p_max.add_argument("--alpha", type=_float_list, default=None)
     p_max.add_argument("--k", type=_k_policy, default="all")
     p_max.add_argument("--dims", type=_int_list, default=None)
-    # accepted for old command lines; the maximum is exact, so it has no effect
-    p_max.add_argument("--restarts", type=int, default=100, help=argparse.SUPPRESS)
     p_max.set_defaults(func=_cmd_demo_maxbounds)
 
     return parser

@@ -64,6 +64,7 @@ def q_log(x, alpha: AlphaLike):
         out = np.log(arr)
     else:
         out = (arr ** (1.0 - a.value) - 1.0) / (1.0 - a.value)
+    out = out + 0.0  # turns the -0.0 at x = 1 into +0.0 and changes nothing else
     return float(out) if out.ndim == 0 else out
 
 
@@ -83,6 +84,7 @@ def entropy_term(x, alpha: AlphaLike):
         out = -arr * np.log(safe)
     else:
         out = (arr ** a.value - arr) / (1.0 - a.value)
+    out = out + 0.0  # turns the -0.0 at x = 1 into +0.0 and changes nothing else
     return float(out) if out.ndim == 0 else out
 
 

@@ -65,3 +65,50 @@ def mp_instability(eps):
     d1 = (-(1 - eps) * mp.log(1 - eps) - eps * mp.log(2)) / 2
     d2 = ((1 + eps) * mp.log(1 + eps) + (1 - eps) * mp.log(1 - eps)) / 2
     return d1, d2, d1 / d2
+
+
+def _golden_max(fn, lo, hi, steps=60):
+    """Largest value golden-section search finds for fn on [lo, hi]."""
+    ratio = (mp.sqrt(5) - 1) / 2
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = fn(d)
+    return max(fc, fd)
+
+
+def mp_adversarial_sup(k, a, eps):
+    """Largest |sum f(x) - sum f(y)| over nonnegative k-vectors with unit l1
+    caps and ||x - y||_1 <= eps, f the entropy term, from the two-group
+    reduction: the value k f(eps/k) of x = 0 against the even spread, and for
+    j = 1..k the best pair that takes mass t off j coordinates holding u each
+    (j u = min(1, 1 + 2t - eps), or 1 when j = k) and spreads eps - t over the
+    other k - j. Each j is maximized over t on [0, eps/2] and [eps/2, eps]
+    separately, where it is smooth, by a 33-point grid and a golden-section
+    search around the best grid point."""
+    a, eps = mp.mpf(a), mp.mpf(eps)
+
+    def gap(j, t):
+        raised = eps - t if j < k else mp.mpf(0)
+        total = min(mp.mpf(1), 1 + t - raised)
+        value = j * (mp_entropy_term((total - t) / j, a) - mp_entropy_term(total / j, a))
+        if j < k:
+            value += (k - j) * mp_entropy_term(raised / (k - j), a)
+        return value
+
+    best = k * mp_entropy_term(eps / k, a)
+    for j in range(1, k + 1):
+        for lo, hi in ((mp.mpf(0), eps / 2), (eps / 2, eps)):
+            grid = [lo + (hi - lo) * i / 32 for i in range(33)]
+            values = [gap(j, t) for t in grid]
+            i = max(range(33), key=values.__getitem__)
+            refined = _golden_max(lambda t: gap(j, t), grid[max(i - 1, 0)], grid[min(i + 1, 32)])
+            best = max(best, values[i], refined)
+    return best

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from entropic_sums import RunConfig, cli_main, max_partial_sum, run_sweep
+from entropic_sums import RunConfig, bounds, cli_main, max_partial_sum, run_sweep
 from entropic_sums.cli import CSV_HEADER
 
 #: Values of ENTROPIC_SUMS_TOL that every command must reject with exit 1.
@@ -79,6 +79,17 @@ class TestEvalCommand:
         rows = parse_csv(out)
         assert all(r["experiment"] == "eval_povm_refinement" for r in rows)
         assert all(float(r["margin"]) >= -1e-12 for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_terms_print_without_sign(self, tmp_path, capsys, fmt):
+        # entropy_term(1) and q_log(1) are 0; at orders 1 and above 1 they came out as -0.0
+        point = write_json(tmp_path / "point.json", {"kind": "prob_vector", "values": [1.0, 0.0]})
+        assert cli_main(["eval", point, "--alpha", "1,2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0" not in out
+        lhs = ([json.loads(line)["lhs"] for line in out.splitlines()] if fmt == "json"
+               else [float(r["lhs"]) for r in parse_csv(out)])
+        assert lhs == [0.0] * 4
 
     def test_povm_alone_is_an_error(self, tmp_path, capsys):
         povm = write_json(tmp_path / "povm.json", {
@@ -204,9 +215,25 @@ class TestAdversarialCommand:
         infeasible = [r for r in rows if float(r["epsilon"]) == 0.9][0]
         assert infeasible["applicable"] == "false"
 
+    def test_restarts_is_inert_and_hidden(self, capsys):
+        argv = ["adversarial", "--alpha", "0.5,2.5", "--k", "1,3", "--eps", "0.05,0.2", "--seed", "4"]
+        outputs = []
+        for extra in ([], ["--restarts", "1"], ["--restarts", "2"], ["--restarts", "500"]):
+            assert cli_main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
+        assert cli_main(["adversarial", "--help"]) == 0
+        assert "--restarts" not in capsys.readouterr().out
+
+    def test_rows_carry_the_exact_supremum(self, capsys):
+        assert cli_main(["adversarial", "--alpha", "1", "--k", "32", "--eps", "0.05"]) == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert float(row["lhs"]) == bounds.adversarial_search(32, 1.0, 0.05).achieved
+        assert float(row["lhs"]) >= 0.99 * float(row["rhs"])
+
     @pytest.mark.parametrize("value", NON_FINITE_TOLS)
     def test_non_finite_tolerance_is_an_error(self, monkeypatch, capsys, value):
-        # eps = 0.9 is past the bound's threshold, so no search runs at all
+        # eps = 0.9 is past the bound's threshold, so nothing is evaluated at all
         monkeypatch.setenv("ENTROPIC_SUMS_TOL", value)
         code = cli_main(["adversarial", "--alpha", "1", "--k", "1", "--eps", "0.9",
                          "--restarts", "1"])
@@ -271,6 +298,18 @@ class TestDemoCommands:
         assert code == 1
         assert captured.out == ""
         assert "k=3" in captured.err
+
+    @pytest.mark.parametrize("dims", ["0", "-3", "4,0"])
+    def test_dimension_below_one_is_an_error(self, capsys, dims):
+        for command in (["demo", "maxbounds"], ["sweep", "--trials", "1"]):
+            assert cli_main(command + ["--dims", dims]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "dimension" in captured.err
+
+    def test_maxbounds_single_point_at_high_order_prints_plain_zero(self, capsys):
+        assert cli_main(["demo", "maxbounds", "--dims", "1", "--k", "1", "--alpha", "2.5"]) == 0
+        assert parse_csv(capsys.readouterr().out)[0]["lhs"] == "0"
 
     def test_bell_k_out_of_range_is_an_error(self, capsys):
         assert cli_main(["demo", "bell", "--k", "3"]) == 1

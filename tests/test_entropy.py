@@ -41,6 +41,7 @@ class TestQLog:
     def test_unity_is_zero_for_every_order(self):
         for a in (0.3, 0.7, 1.0, 1.5, 2.0, 5.0):
             assert q_log(1.0, a) == 0.0
+            assert not np.signbit(q_log(1.0, a))
 
     def test_frozen_value(self):
         # (4**-1 - 1)/(1 - 2), independently 0.75
@@ -89,6 +90,7 @@ class TestEntropyTerm:
         for a in (0.3, 0.5, 1.0, 2.0, 9.0):
             assert entropy_term(0.0, a) == 0.0
             assert entropy_term(1.0, a) == 0.0
+            assert not np.any(np.signbit(entropy_term(np.array([0.0, 1.0]), a)))
 
     def test_frozen_values(self):
         assert entropy_term(0.5, 2.0) == pytest.approx(0.25, abs=1e-15)
