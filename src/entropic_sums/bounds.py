@@ -268,8 +268,10 @@ def stability_delta(xi: float, k: int, alpha: AlphaLike) -> float:
     """Normalized stability bound for the k-th partial sum at distance xi.
 
     Divides ``entropy_gap_bound(xi, k+1) + entropy_term(xi)`` by a lower bound
-    on the maximal partial sum: ``q_log(k)`` for k >= 2, and the exact one-term
-    maximum for k = 1 (where ``q_log(1)`` is 0 and would not normalize).
+    on the maximal partial sum, the lower end of
+    :func:`~entropic_sums.classical.max_partial_bounds`: ``q_log(k)`` for
+    k >= 2, and the exact one-term maximum for k = 1 (where ``q_log(1)`` is 0
+    and would not normalize).
     Vanishes as xi -> 0 and increases strictly on the stability interval for
     orders above 1.
     """
@@ -279,11 +281,7 @@ def stability_delta(xi: float, k: int, alpha: AlphaLike) -> float:
     if not 0.0 < xi <= eps0:
         raise ValueError(f"xi must lie in (0, {eps0}], got {xi}")
     numerator = entropy_gap_bound(xi, k + 1, a) + entropy_term(xi, a)
-    if k == 1:
-        normalizer = entropy_term(entropy_term_argmax(a), a)
-    else:
-        normalizer = q_log(float(k), a)
-    return numerator / normalizer
+    return numerator / classical.max_partial_bounds(k, a)[0]
 
 
 def _pair_residual(x: np.ndarray, y: np.ndarray, epsilon: float) -> float:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,8 @@ from .quantum import (
 )
 from .serialize import fmt_cell, load_instance
 
-CSV_HEADER = "experiment,alpha,k,dim,epsilon,lhs,rhs,applicable,satisfied,margin,seed"
 
-
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     """One output row; the schema is fixed across all subcommands."""
 
     experiment: str
@@ -58,20 +56,8 @@ class ReportRow:
     margin: float | None
     seed: int
 
-    def to_csv(self) -> str:
-        return ",".join(fmt_cell(getattr(self, name)) for name in _ROW_FIELDS)
 
-    def to_json(self) -> str:
-        payload = {}
-        for name in _ROW_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, (np.floating, np.integer)):
-                v = v.item()
-            payload[name] = v
-        return json.dumps(payload)
-
-
-_ROW_FIELDS = tuple(f.name for f in fields(ReportRow))
+CSV_HEADER = ",".join(ReportRow._fields)
 
 
 @dataclass
@@ -136,40 +122,35 @@ def _check_rows(experiment: str, table: bounds.CheckTable, alphas, ks: list[int]
 def run_sweep(config: RunConfig) -> list[ReportRow]:
     """Randomized near-pair verification of the continuity bounds.
 
-    Each trial draws, per dimension, one base instance and a perturbed partner
-    at a log-uniform target distance, then checks every (alpha, k) cell.
-    Draw order is fixed, so equal configs give identical output. All draws
-    come first; the pairs of each dimension are then checked as one stack.
+    Each trial draws, per ``dims`` entry, one base instance and a perturbed
+    partner at a log-uniform target distance, then checks every (alpha, k)
+    cell. Draw order is fixed, so equal configs give identical output. All
+    draws come first; each ``dims`` entry's pairs are then checked as one stack.
     """
     dims = list(config.dims)
     alphas = config.alpha_grid
     k_lists = _k_ranges(config.k_policy, dims)
     tol = bounds.check_tolerance(config.tolerance)
     rng = np.random.default_rng(config.seed)
-    classical_pairs: dict[int, list] = {m: [] for m in dims}
-    quantum_pairs: dict[int, list] = {d: [] for d in dims}
+    classical_pairs: list[list] = [[] for _ in dims]
+    quantum_pairs: list[list] = [[] for _ in dims]
     for _ in range(config.trials):
-        for m in dims:
+        for pairs, m in zip(classical_pairs, dims):
             p = sampling.sample_simplex(m, rng)
             q = sampling.sample_near(p, 10.0 ** rng.uniform(-3.0, 0.0), rng)
-            classical_pairs[m].append((p.values, q.values))
-        for d in dims:
+            pairs.append((p.values, q.values))
+        for pairs, d in zip(quantum_pairs, dims):
             rho = sampling.sample_density(d, rng)
             sigma = sampling.sample_near(rho, 10.0 ** rng.uniform(-3.0, 0.0), rng)
-            quantum_pairs[d].append((rho, sigma))
-    tables = {}
-    for m, pairs in classical_pairs.items():
-        p, q = (np.array(side) for side in zip(*pairs))
-        tables["sweep_classical", m] = bounds.classical_checks(p, q, alphas, tol)
-    for d, pairs in quantum_pairs.items():
-        tables["sweep_quantum", d] = bounds.quantum_checks(*zip(*pairs), alphas, tol)
+            pairs.append((rho, sigma))
+    tables = {"sweep_classical": [bounds.classical_checks(*map(np.array, zip(*pairs)), alphas, tol)
+                                  for pairs in classical_pairs],
+              "sweep_quantum": [bounds.quantum_checks(*zip(*pairs), alphas, tol) for pairs in quantum_pairs]}
     rows: list[ReportRow] = []
     for t in range(config.trials):
-        for experiment in ("sweep_classical", "sweep_quantum"):
-            for i, (m, ks) in enumerate(zip(dims, k_lists)):
-                # a dimension listed n times stacks n pairs per trial, in list order
-                at = (t * dims.count(m) + dims[:i].count(m),)
-                rows += _check_rows(experiment, tables[experiment, m], alphas, ks, m, config.seed, at)
+        for experiment, stacks in tables.items():
+            for table, m, ks in zip(stacks, dims, k_lists):
+                rows += _check_rows(experiment, table, alphas, ks, m, config.seed, (t,))
     return rows
 
 
@@ -275,7 +256,7 @@ def _cmd_check(args) -> list[ReportRow]:
 
 def _cmd_sweep(args) -> list[ReportRow]:
     config = RunConfig(seed=args.seed, trials=args.trials, alpha_grid=args.alpha or [1.0],
-                       k_policy=args.k if args.k is not None else "all",
+                       k_policy=args.k,
                        dims=args.dims or [4])
     return run_sweep(config)
 
@@ -450,9 +431,9 @@ def _build_parser() -> _Parser:
 
 def _write_rows(rows: list[ReportRow], fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = "".join(row.to_json() + "\n" for row in rows)
+        text = "".join(json.dumps(row._asdict()) + "\n" for row in rows)
     else:
-        text = CSV_HEADER + "\n" + "".join(row.to_csv() + "\n" for row in rows)
+        text = CSV_HEADER + "\n" + "".join(",".join(map(fmt_cell, row)) + "\n" for row in rows)
     if out is None:
         sys.stdout.write(text)
     else:

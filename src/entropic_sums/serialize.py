@@ -1,4 +1,4 @@
-"""JSON instance loading and numeric formatting for the command-line front end."""
+"""JSON instance loading and cell formatting for the command-line front end."""
 
 from __future__ import annotations
 
@@ -18,6 +18,12 @@ def _complex_grid(doc: dict, re_key: str, im_key: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _int_field(doc: dict, key: str) -> int:
+    if type(doc[key]) is not int:  # a JSON integer; not a float, bool or null
+        raise ValueError(f"'{key}' must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def instance_from_dict(doc: dict):
     """Build a typed instance from a parsed JSON document; 'kind' selects the type."""
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -28,13 +34,13 @@ def instance_from_dict(doc: dict):
             return ProbVector(doc["values"])
         if kind == "density":
             m = _complex_grid(doc, "re", "im")
-            d = int(doc["dim"])
+            d = _int_field(doc, "dim")
             if m.shape != (d, d):
                 raise ValueError(f"density grids must be {d}x{d}, got {m.shape}")
             return DensityOperator(m)
         if kind == "joint":
             vals = np.asarray(doc["values"], dtype=float)
-            if vals.shape != (int(doc["rows"]), int(doc["cols"])):
+            if vals.shape != (_int_field(doc, "rows"), _int_field(doc, "cols")):
                 raise ValueError(f"joint grid shape {vals.shape} does not match rows/cols")
             return JointDistribution(vals)
         if kind == "ensemble":
@@ -44,6 +50,8 @@ def instance_from_dict(doc: dict):
             return RankOnePOVM(_complex_grid(doc, "vectors_re", "vectors_im"))
     except KeyError as exc:
         raise ValueError(f"{kind!r} document is missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{kind!r} document has a field of the wrong type ({exc})") from None
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -52,24 +60,17 @@ def load_instance(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     return instance_from_dict(doc)
 
 
-def fmt_float(x) -> str:
-    """17-significant-digit, locale-independent rendering."""
-    return format(float(x), ".17g")
-
-
 def fmt_cell(value) -> str:
-    """CSV cell: floats at 17 digits, booleans lowercase, None empty, text as is."""
+    """CSV cell: floats at 17 significant digits, booleans lowercase, None empty, the rest by str."""
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return fmt_float(value)
+    return str(value)

@@ -1,10 +1,12 @@
 """Tests for the command-line front end: subcommands, formats, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import entropic_sums.cli as cli
 from entropic_sums import RunConfig, bounds, cli_main, max_partial_sum, run_sweep
 from entropic_sums.cli import CSV_HEADER
 
@@ -364,7 +366,106 @@ class TestFormatsAndErrors:
         assert captured.out == ""
         assert "usage error" in captured.err and "comma-separated list" in captured.err
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "density", "dim": null, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        '{"kind": "density", "dim": 1e400, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        '{"kind": "density", "dim": 2.5, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        '{"kind": "joint", "rows": [2], "cols": 2, "values": [[0.1, 0.2], [0.3, 0.4]]}',
+        '{"kind": "prob_vector", "values": {"a": 1}}',
+        "[" * 100000,
+    ], ids=["dim-null", "dim-overflow", "dim-fraction", "rows-list", "values-object", "deep-nesting"])
+    def test_malformed_instance_is_an_input_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli_main(["eval", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_dimension_mismatch_files(self, tmp_path):
         a = write_json(tmp_path / "a.json", {"kind": "prob_vector", "values": [1.0]})
         b = write_json(tmp_path / "b.json", {"kind": "prob_vector", "values": [0.5, 0.5]})
         assert cli_main(["check", a, b]) == 1
+
+
+@pytest.fixture
+def instance_files(tmp_path, prob_files, density_files):
+    """Placeholder name -> path, for argv lists that name their input files."""
+    return {
+        "P": prob_files[0], "Q": prob_files[1],
+        "FAR": write_json(tmp_path / "far.json", {"kind": "prob_vector", "values": [0.0, 1.0]}),
+        "RHO": density_files[0], "SIGMA": density_files[1],
+        "JOINT": write_json(tmp_path / "joint.json", {
+            "kind": "joint", "rows": 2, "cols": 2, "values": [[0.1, 0.2], [0.3, 0.4]]}),
+        "ENS": write_json(tmp_path / "ens.json", {
+            "kind": "ensemble", "weights": [0.3, 0.7],
+            "states_re": [[1.0, 0.0], [0.6, 0.8]], "states_im": [[0.0, 0.0], [0.0, 0.0]]}),
+        "POVM": write_json(tmp_path / "povm.json", {
+            "kind": "povm", "vectors_re": [[1.0, 0.0], [0.0, 1.0]],
+            "vectors_im": [[0.0, 0.0], [0.0, 0.0]]}),
+    }
+
+
+#: One command per path through the row writers; "P", "RHO", ... name input files.
+CROSS_FORMAT_ARGV = {
+    "eval-single": ["eval", "P", "--alpha", "0.5,1,2"],
+    "eval-classical-pair": ["eval", "P", "Q", "--alpha", "1,3"],
+    "eval-density-pair": ["eval", "RHO", "SIGMA", "--alpha", "0.7,1"],
+    "eval-joint": ["eval", "JOINT", "--alpha", "1,2"],
+    "eval-ensemble-povm": ["eval", "ENS", "POVM", "--alpha", "0.5,2"],
+    "check-classical": ["check", "P", "Q", "--alpha", "0.5,2"],
+    "check-past-distance-one": ["check", "P", "FAR", "--alpha", "1,2"],
+    "check-quantum": ["check", "RHO", "SIGMA", "--alpha", "0.5,2"],
+    "sweep-duplicate-dims": ["sweep", "--alpha", "0.7,2", "--dims", "3,2,3", "--k", "1,2",
+                             "--trials", "3", "--seed", "9"],
+    "adversarial": ["adversarial", "--alpha", "0.5,2", "--k", "1,2", "--eps", "0.1,0.9"],
+    "demo-instability": ["demo", "instability", "--eps", "1e-4,0.01"],
+    "demo-bell": ["demo", "bell", "--alpha", "0.5,2"],
+    "demo-maxbounds": ["demo", "maxbounds", "--dims", "1,4", "--alpha", "0.5,2.5"],
+}
+
+
+def same_cell(value, cell: str) -> bool:
+    """Whether a parsed JSON value and a CSV cell carry the same datum."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, float):
+        return cell == "nan" if math.isnan(value) else float(cell) == value
+    return cell == str(value)
+
+
+class TestCrossFormat:
+    @pytest.mark.parametrize("name", CROSS_FORMAT_ARGV)
+    def test_csv_and_json_carry_the_same_rows(self, instance_files, monkeypatch, capsys, name):
+        argv = [instance_files.get(tok, tok) for tok in CROSS_FORMAT_ARGV[name]]
+        written = []
+        write = cli._write_rows
+        monkeypatch.setattr(cli, "_write_rows",
+                            lambda rows, fmt, out: written.append(rows) or write(rows, fmt, out))
+        assert cli_main(argv + ["--format", "csv"]) == 0
+        header, *cells = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert cli_main(argv + ["--format", "json"]) == 0
+        objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert header == CSV_HEADER.split(",")
+        assert len(objs) == len(cells) > 0
+        for obj, row in zip(objs, cells):
+            assert list(obj) == header
+            for value, cell in zip(obj.values(), row):
+                assert same_cell(value, cell), (value, cell)
+        builtin = (str, int, float, bool, type(None))
+        assert all(type(value) in builtin for rows in written for row in rows for value in row)
+
+    def test_past_distance_one_rhs_and_margin_are_nan(self, instance_files, capsys):
+        # (0.6, 0.4) against (0, 1): the partial distance is 0.6 at k = 1, 1.2 at k = 2
+        argv = ["check", instance_files["P"], instance_files["FAR"], "--alpha", "1"]
+        assert cli_main(argv) == 0
+        near, far = parse_csv(capsys.readouterr().out)
+        assert "nan" not in near.values()
+        assert (far["epsilon"], far["rhs"], far["satisfied"], far["margin"]) == ("1.2", "nan", "", "nan")
+        assert cli_main(argv + ["--format", "json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert '"rhs": NaN' in lines[1] and '"margin": NaN' in lines[1]
+        assert "NaN" not in lines[0]
