@@ -186,10 +186,24 @@ def entropy_sum_diff(x, y, alpha: AlphaLike) -> float:
     return float(np.sum(entropy_term(xv, alpha)) - np.sum(entropy_term(yv, alpha)))
 
 
-def _check_table(sums_a, sums_b, eps, alphas: tuple[Alpha, ...], tol: float | None) -> CheckTable:
+def _orders(alphas) -> tuple[Alpha, ...]:
+    return tuple(as_alpha(a) for a in ([alphas] if np.ndim(alphas) == 0 else alphas))
+
+
+def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None) -> CheckTable:
+    """Partial-sum differences of paired distributions against the continuity
+    bound, for every order in ``alphas`` and every k.
+
+    ``values_a`` and ``values_b`` hold the paired distributions (probability
+    vectors or spectra) along their last axis, shape ``(..., m)``;
+    ``distances[..., k-1]`` is the pair's distance for the k-th bound. Both
+    sides' partial sums come from one :func:`classical.partial_sums` call.
+    """
+    alphas = _orders(alphas)
     tol = check_tolerance(tol)
-    lhs = np.abs(sums_a - sums_b)
-    eps = np.broadcast_to(eps[..., None, :], lhs.shape)
+    sums = classical.partial_sums(np.stack([values_a, values_b]), alphas)
+    lhs = np.abs(sums[0] - sums[1])
+    eps = np.broadcast_to(np.asarray(distances)[..., None, :], lhs.shape)
     ks = np.arange(1, lhs.shape[-1] + 1)
     per_order = [_fannes(eps[..., i, :], ks, a) for i, a in enumerate(alphas)]
     rhs, threshold, applicable = (np.stack(col, axis=-2) for col in zip(*per_order))
@@ -197,44 +211,28 @@ def _check_table(sums_a, sums_b, eps, alphas: tuple[Alpha, ...], tol: float | No
                       applicable=applicable, satisfied=lhs <= rhs + tol, margin=rhs - lhs)
 
 
-def _orders(alphas) -> tuple[Alpha, ...]:
-    return tuple(as_alpha(a) for a in ([alphas] if np.ndim(alphas) == 0 else alphas))
-
-
 def classical_checks(p, q, alphas, tol: float | None = None) -> CheckTable:
-    """Partial-sum differences of two distributions against the continuity
-    bound, for every order in ``alphas`` and every k, with the distance
-    measured by the k-term gauge of the coordinate differences. ``p`` and
-    ``q`` are :class:`ProbVector` objects or stacks of distributions of shape
-    ``(..., m)``."""
-    alphas = _orders(alphas)
-    eps = classical.partial_distances(p, q)
-    return _check_table(classical.partial_sums(p, alphas), classical.partial_sums(q, alphas),
-                        eps, alphas, tol)
-
-
-def _quantum_sums(rho, sigma, alphas):
-    return (classical.partial_sums(quantum.spectra(rho), alphas),
-            classical.partial_sums(quantum.spectra(sigma), alphas))
+    """:func:`pair_checks` of two distributions, or of two stacks of them of
+    shape ``(..., m)``, with the distance measured by the k-term gauge of the
+    coordinate differences."""
+    return pair_checks(classical._values(p), classical._values(q),
+                       classical.partial_distances(p, q), alphas, tol)
 
 
 def quantum_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
-    """Quantum partial-sum differences against the continuity bound, for every
-    order and every k, with the distance measured by the Ky Fan k-norm of the
-    operator difference. ``rho`` and ``sigma`` are density operators or
-    equal-length sequences of them."""
-    alphas = _orders(alphas)
-    eps = quantum.ky_fan_distances(rho, sigma)
-    return _check_table(*_quantum_sums(rho, sigma, alphas), eps, alphas, tol)
+    """:func:`pair_checks` of the spectra of two density operators, or of two
+    equal-length sequences of them, with the distance measured by the Ky Fan
+    k-norm of the operator difference."""
+    return pair_checks(quantum.spectra(rho), quantum.spectra(sigma),
+                       quantum.ky_fan_distances(rho, sigma), alphas, tol)
 
 
 def fidelity_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
     """Same checks as :func:`quantum_checks` but with the distance replaced by
     ``2 * (1 - partial_fidelity)``, which dominates the Ky Fan distance.
     Applicability is assessed against the substituted distance."""
-    alphas = _orders(alphas)
     eps = np.maximum(0.0, 2.0 * (1.0 - quantum.partial_fidelities(rho, sigma)[..., 1:]))
-    return _check_table(*_quantum_sums(rho, sigma, alphas), eps, alphas, tol)
+    return pair_checks(quantum.spectra(rho), quantum.spectra(sigma), eps, alphas, tol)
 
 
 def check_classical(p, q, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:

@@ -13,26 +13,25 @@ SIMPLEX_TOL = 1e-9
 
 
 def _onto_simplex(arr: np.ndarray) -> np.ndarray:
-    """Validate a fresh float array as a distribution over all its entries.
+    """Validate a float array as a stack of distributions along its last axis.
 
-    Rejects non-finite entries, entries below ``-SIMPLEX_TOL`` and totals more
-    than ``SIMPLEX_TOL`` from 1; clamps the rest to be nonnegative, rescales
-    the total to 1 and returns the result read-only.
+    Rejects non-finite entries, entries below ``-SIMPLEX_TOL`` and rows whose
+    total is more than ``SIMPLEX_TOL`` from 1; clamps the rest to be
+    nonnegative, rescales each row's total to 1 and returns the result
+    read-only.
     """
     if not np.all(np.isfinite(arr)):
         raise ValueError("probabilities must be finite")
     if np.any(arr < -SIMPLEX_TOL):
         raise ValueError("negative probability beyond tolerance")
     arr = np.clip(arr, 0.0, None)
-    total = arr.sum()
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    if abs(total - 1.0) > 1e-14:
-        # dividing by a total that is already 1 to machine precision would
-        # only inject rounding noise and break exact permutation symmetry
-        arr = arr / total
-    else:
-        arr = np.minimum(arr, 1.0)
+    total = arr.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0)
+    if np.any(off > SIMPLEX_TOL):
+        raise ValueError(f"probabilities sum to {total[off > SIMPLEX_TOL][0]}, not 1")
+    # dividing a row whose total is already 1 to machine precision would only
+    # inject rounding noise and break exact permutation symmetry
+    arr = np.where(off > 1e-14, arr / total, np.minimum(arr, 1.0))
     arr.flags.writeable = False
     return arr
 
@@ -51,6 +50,13 @@ class ProbVector:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a probability vector must be a nonempty 1-d sequence")
         self._values = _onto_simplex(arr)
+
+    @classmethod
+    def _validated(cls, values: np.ndarray) -> ProbVector:
+        """Wrap a row that :func:`_onto_simplex` has already returned."""
+        p = cls.__new__(cls)
+        p._values = values
+        return p
 
     @property
     def values(self) -> np.ndarray:
@@ -74,7 +80,7 @@ class JointDistribution:
         arr = np.array(values, dtype=float, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a joint distribution must be a nonempty 2-d grid")
-        self._values = _onto_simplex(arr)
+        self._values = _onto_simplex(arr.ravel()).reshape(arr.shape)
 
     @property
     def values(self) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -38,7 +39,7 @@ from .quantum import (
     schmidt_pure_state,
     spectra,
 )
-from .serialize import fmt_cell, load_instance
+from .serialize import fmt_column, load_instance
 
 
 class ReportRow(NamedTuple):
@@ -72,8 +73,12 @@ class RunConfig:
     tolerance: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if len(self.dims) == 0:
+            raise ValueError("dims must name at least one dimension")
         if not self.alpha_grid or any(a <= 0 for a in self.alpha_grid):
             raise ValueError("every alpha in the grid must be positive")
 
@@ -125,32 +130,41 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
     Each trial draws, per ``dims`` entry, one base instance and a perturbed
     partner at a log-uniform target distance, then checks every (alpha, k)
     cell. Draw order is fixed, so equal configs give identical output. All
-    draws come first; each ``dims`` entry's pairs are then checked as one stack.
+    draws come first; each ``dims`` entry's draws are then built, validated
+    and checked as one stack, its classical and quantum pairs in one table.
     """
     dims = list(config.dims)
     alphas = config.alpha_grid
     k_lists = _k_ranges(config.k_policy, dims)
     tol = bounds.check_tolerance(config.tolerance)
     rng = np.random.default_rng(config.seed)
-    classical_pairs: list[list] = [[] for _ in dims]
-    quantum_pairs: list[list] = [[] for _ in dims]
+    # per dims entry and trial: the raw draws of one classical and one quantum pair
+    classical_draws: list[list[tuple]] = [[] for _ in dims]
+    quantum_draws: list[list[tuple]] = [[] for _ in dims]
     for _ in range(config.trials):
-        for pairs, m in zip(classical_pairs, dims):
-            p = sampling.sample_simplex(m, rng)
-            q = sampling.sample_near(p, 10.0 ** rng.uniform(-3.0, 0.0), rng)
-            pairs.append((p.values, q.values))
-        for pairs, d in zip(quantum_pairs, dims):
-            rho = sampling.sample_density(d, rng)
-            sigma = sampling.sample_near(rho, 10.0 ** rng.uniform(-3.0, 0.0), rng)
-            pairs.append((rho, sigma))
-    tables = {"sweep_classical": [bounds.classical_checks(*map(np.array, zip(*pairs)), alphas, tol)
-                                  for pairs in classical_pairs],
-              "sweep_quantum": [bounds.quantum_checks(*zip(*pairs), alphas, tol) for pairs in quantum_pairs]}
+        for draws, m in zip(classical_draws, dims):
+            draws.append((rng.exponential(size=m), 10.0 ** rng.uniform(-3.0, 0.0),
+                          rng.exponential(size=m)))
+        for draws, d in zip(quantum_draws, dims):
+            draws.append((rng.standard_normal((d, d)), rng.standard_normal((d, d)),
+                          10.0 ** rng.uniform(-3.0, 0.0),
+                          rng.standard_normal((d, d)), rng.standard_normal((d, d))))
+    tables = []
+    for c_draws, q_draws in zip(classical_draws, quantum_draws):
+        base, eps, fresh = map(np.array, zip(*c_draws))
+        real, imag, eps_q, fresh_real, fresh_imag = map(np.array, zip(*q_draws))
+        p = sampling.simplex_points(base)
+        q = sampling.near_points(p, sampling.simplex_points(fresh), eps)
+        rho = sampling.density_operators(real, imag)
+        sigma = sampling.near_operators(rho, sampling.density_operators(fresh_real, fresh_imag), eps_q)
+        tables.append(bounds.pair_checks(
+            np.concatenate([p, spectra(rho)]), np.concatenate([q, spectra(sigma)]),
+            np.concatenate([partial_distances(p, q), ky_fan_distances(rho, sigma)]), alphas, tol))
     rows: list[ReportRow] = []
     for t in range(config.trials):
-        for experiment, stacks in tables.items():
-            for table, m, ks in zip(stacks, dims, k_lists):
-                rows += _check_rows(experiment, table, alphas, ks, m, config.seed, (t,))
+        for experiment, at in (("sweep_classical", (t,)), ("sweep_quantum", (config.trials + t,))):
+            for table, m, ks in zip(tables, dims, k_lists):
+                rows += _check_rows(experiment, table, alphas, ks, m, config.seed, at)
     return rows
 
 
@@ -433,7 +447,8 @@ def _write_rows(rows: list[ReportRow], fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = "".join(json.dumps(row._asdict()) + "\n" for row in rows)
     else:
-        text = CSV_HEADER + "\n" + "".join(",".join(map(fmt_cell, row)) + "\n" for row in rows)
+        lines = map(",".join, zip(*map(fmt_column, zip(*rows))))
+        text = "".join(line + "\n" for line in [CSV_HEADER, *lines])
     if out is None:
         sys.stdout.write(text)
     else:

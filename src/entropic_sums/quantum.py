@@ -36,6 +36,26 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
+def _check_densities(m: np.ndarray) -> np.ndarray:
+    """Check a stack of matrices of shape ``(n, d, d)`` as density operators and
+    return their eigenvalues, ascending, from one stacked decomposition."""
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValueError("matrix entries must be finite")
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density operator must be square, got shape {m.shape[-2:]}")
+    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > HERMITIAN_TOL
+    if np.any(off):
+        raise ValueError(f"trace must be 1, got {trace[off][0]}")
+    eigenvalues = np.linalg.eigvalsh(m)
+    if np.any(eigenvalues[:, 0] < -PSD_TOL):
+        raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+    eigenvalues.flags.writeable = False
+    return eigenvalues
+
+
 class DensityOperator:
     """d x d complex Hermitian, positive semidefinite, unit-trace matrix.
 
@@ -44,20 +64,26 @@ class DensityOperator:
     """
 
     def __init__(self, matrix):
-        m = _as_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(m.trace() - 1.0) > HERMITIAN_TOL:
-            raise ValueError(f"trace must be 1, got {m.trace()}")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues.min() < -PSD_TOL:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+        m = np.array(matrix, dtype=complex, copy=True)
+        if m.ndim != 2 or m.size == 0:
+            raise ValueError("expected a nonempty 2-d matrix")
+        self._eigenvalues = _check_densities(m[None])[0]
         m.flags.writeable = False
-        eigenvalues.flags.writeable = False
         self._matrix = m
-        self._eigenvalues = eigenvalues
+
+    @classmethod
+    def _stack(cls, m: np.ndarray) -> list[DensityOperator]:
+        """One operator per matrix of a fresh complex stack of shape
+        ``(n, d, d)``, checked as one stack; the stack becomes read-only and
+        each operator holds views into it."""
+        eigenvalues = _check_densities(m)
+        m.flags.writeable = False
+        ops = []
+        for matrix, vals in zip(m, eigenvalues):
+            rho = cls.__new__(cls)
+            rho._matrix, rho._eigenvalues = matrix, vals
+            ops.append(rho)
+        return ops
 
     @property
     def matrix(self) -> np.ndarray:

@@ -1,16 +1,62 @@
 """Random instance generators: simplex points, density operators, ensembles,
 POVMs and near-pairs.
 
-All generators take a ``numpy.random.Generator`` (the package standardizes on
-NumPy's seedable PCG64 streams) so sweeps are reproducible bit for bit.
+The ``sample_*`` generators take a ``numpy.random.Generator`` (the package
+standardizes on NumPy's seedable PCG64 streams) so sweeps are reproducible bit
+for bit. The stacked samplers (``simplex_points``, ``density_operators``,
+``near_points``, ``near_operators``) turn stacks of raw draws into validated
+instances; the simplex, density and near-pair generators are stack-of-one
+wrappers over them, so each formula is written once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .classical import ProbVector
-from .quantum import DensityOperator, PureEnsemble, RankOnePOVM, ky_fan_norm
+from .classical import ProbVector, _onto_simplex
+from .quantum import DensityOperator, PureEnsemble, RankOnePOVM
+
+
+def simplex_points(draws) -> np.ndarray:
+    """Validated simplex points from a stack of exponential draws of shape
+    ``(..., m)``: each row divided by its total, read-only."""
+    g = np.asarray(draws, dtype=float)
+    return _onto_simplex(g / g.sum(axis=-1, keepdims=True))
+
+
+def density_operators(real, imag) -> list[DensityOperator]:
+    """Validated density operators ``G G*/tr G G*`` from stacks of the real and
+    imaginary parts of square Gaussian matrices G, shape ``(n, d, d)``."""
+    g = np.asarray(real) + 1j * np.asarray(imag)
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    return DensityOperator._stack(m / np.trace(m, axis1=-2, axis2=-1)[:, None, None])
+
+
+def _mix(base: np.ndarray, diff: np.ndarray, epsilon, dist: np.ndarray) -> np.ndarray:
+    """``base + t * diff`` per row, with t = 1 where ``dist <= epsilon`` and
+    ``epsilon / dist`` elsewhere, so every row lands within epsilon of its base."""
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all(eps >= 0.0):
+        raise ValueError("epsilon must be nonnegative")
+    t = np.divide(eps, dist, out=np.ones_like(dist), where=dist > eps)
+    return base + t.reshape(t.shape + (1,) * (base.ndim - t.ndim)) * diff
+
+
+def near_points(base: np.ndarray, fresh: np.ndarray, epsilon) -> np.ndarray:
+    """Validated mixtures of each simplex point in ``base`` with the matching
+    row of ``fresh``, within l1 distance ``epsilon[i]`` of row i."""
+    diff = fresh - base
+    return _onto_simplex(_mix(base, diff, epsilon, np.abs(diff).sum(axis=-1)))
+
+
+def near_operators(base, fresh, epsilon) -> list[DensityOperator]:
+    """Validated mixtures of each density operator in ``base`` with the
+    matching one in ``fresh``, within trace distance ``epsilon[i]`` of the i-th."""
+    a = np.stack([rho.matrix for rho in base])
+    diff = np.stack([rho.matrix for rho in fresh]) - a
+    # the trace norm, summed in the order of ky_fan_norm
+    dist = np.cumsum(np.linalg.svd(diff, compute_uv=False), axis=-1)[:, -1]
+    return DensityOperator._stack(_mix(a, diff, epsilon, dist))
 
 
 def sample_simplex(m: int, rng: np.random.Generator) -> ProbVector:
@@ -18,16 +64,15 @@ def sample_simplex(m: int, rng: np.random.Generator) -> ProbVector:
     if int(m) != m or m < 1:
         raise ValueError("m must be a positive integer")
     g = rng.exponential(size=int(m))
-    return ProbVector(g / g.sum())
+    return ProbVector._validated(simplex_points(g[None])[0])
 
 
 def sample_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Random density operator from a square complex Gaussian matrix G: G G*/tr."""
     if int(d) != d or d < 1:
         raise ValueError("d must be a positive integer")
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityOperator(m / m.trace())
+    real, imag = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    return density_operators(real[None], imag[None])[0]
 
 
 def sample_state_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,18 +116,10 @@ def sample_near(obj, epsilon: float, rng: np.random.Generator):
     Mixing keeps the result inside the simplex or the PSD cone by construction;
     epsilon = 0 returns the input and a large epsilon recovers the fresh sample.
     """
-    eps = float(epsilon)
-    if eps < 0.0:
-        raise ValueError("epsilon must be nonnegative")
     if isinstance(obj, ProbVector):
         fresh = sample_simplex(obj.dim, rng)
-        dist = float(np.abs(fresh.values - obj.values).sum())
-        t = 1.0 if dist <= eps else eps / dist
-        return ProbVector(obj.values + t * (fresh.values - obj.values))
+        q = near_points(obj.values[None], fresh.values[None], [epsilon])
+        return ProbVector._validated(q[0])
     if isinstance(obj, DensityOperator):
-        fresh = sample_density(obj.dim, rng)
-        diff = fresh.matrix - obj.matrix
-        dist = ky_fan_norm(diff, obj.dim)
-        t = 1.0 if dist <= eps else eps / dist
-        return DensityOperator(obj.matrix + t * diff)
+        return near_operators([obj], [sample_density(obj.dim, rng)], [epsilon])[0]
     raise TypeError("expected a ProbVector or a DensityOperator")

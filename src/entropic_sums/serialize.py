@@ -1,4 +1,4 @@
-"""JSON instance loading and cell formatting for the command-line front end."""
+"""JSON instance loading and cell and column formatting for the command-line front end."""
 
 from __future__ import annotations
 
@@ -74,3 +74,21 @@ def fmt_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+#: CSV text of the cells of a column that holds only booleans and None.
+_FLAG_TEXT = {True: "true", False: "false", None: ""}
+
+
+def fmt_column(cells) -> list[str]:
+    """CSV cells of one column, equal to ``map(fmt_cell, cells)``; a column
+    whose cells share a type is rendered by one rule for the whole column."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        # "%.17g" gives format(v, ".17g") for every float: nan, inf and -0 too
+        return ("\n".join(["%.17g"] * len(cells)) % tuple(cells)).split("\n")
+    if kinds <= {bool, type(None)}:
+        return [_FLAG_TEXT[cell] for cell in cells]
+    if kinds <= {str, int}:
+        return list(map(str, cells))
+    return list(map(fmt_cell, cells))

@@ -15,6 +15,8 @@ from entropic_sums import (
     entropy_term_argmax,
     fannes_bounds,
     ky_fan_distances,
+    pair_checks,
+    partial_distances,
     partial_fidelities,
     partial_sums,
     psd_sqrt,
@@ -23,7 +25,9 @@ from entropic_sums import (
     sample_density,
     sample_near,
     sample_simplex,
+    spectra,
 )
+from entropic_sums.sampling import density_operators, near_operators, near_points, simplex_points
 
 from _oracles import mp_fannes_rhs, mp_partial_sum
 
@@ -209,6 +213,58 @@ class TestRunSweepBatched:
             run_sweep(RunConfig(seed=0, trials=1, alpha_grid=[1.0], k_policy=[1, 5], dims=[2, 4]))
 
 
+def _sweep_stack(g, h, eps, re, im, fre, fim, alphas):
+    """The stacked build and check table of one dims entry, as the sweep makes it."""
+    p = simplex_points(g)
+    q = near_points(p, simplex_points(h), eps)
+    rho = density_operators(re, im)
+    sigma = near_operators(rho, density_operators(fre, fim), eps)
+    table = pair_checks(np.concatenate([p, spectra(rho)]), np.concatenate([q, spectra(sigma)]),
+                        np.concatenate([partial_distances(p, q), ky_fan_distances(rho, sigma)]),
+                        alphas)
+    return p, q, rho, sigma, table
+
+
+class TestStackedBuilds:
+    """A row of a stacked build equals the same build on a stack of one, bit
+    for bit: stacked matmul, trace, eigvalsh and svd give the per-matrix
+    results, so sweep output does not depend on how many trials share a stack."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_rows_match_stacks_of_one(self, d):
+        rng = np.random.default_rng(100 + d)
+        n, alphas = 6, [0.3, 1.0, 2.5, 7.0]
+        draws = [rng.exponential(size=(n, d)), rng.exponential(size=(n, d)),
+                 np.concatenate([[0.0, np.inf], 10.0 ** rng.uniform(-3.0, 0.0, size=n - 2)]),
+                 *(rng.standard_normal((n, d, d)) for _ in range(4))]
+        p, q, rho, sigma, table = _sweep_stack(*draws, alphas)
+        for i in range(n):
+            p1, q1, rho1, sigma1, table1 = _sweep_stack(*(x[i:i + 1] for x in draws), alphas)
+            assert p[i].tobytes() == p1[0].tobytes() and q[i].tobytes() == q1[0].tobytes()
+            for stacked, single in ((rho[i], rho1[0]), (sigma[i], sigma1[0])):
+                assert stacked.matrix.tobytes() == single.matrix.tobytes()
+                assert spectra(stacked).tobytes() == spectra(single).tobytes()
+            for name in ("lhs", "epsilon", "rhs", "applicable", "satisfied", "margin"):
+                assert getattr(table, name)[[i, n + i]].tobytes() == getattr(table1, name).tobytes()
+
+    def test_stacks_are_read_only_and_valid(self):
+        rng = np.random.default_rng(5)
+        p, q, rho, sigma, _ = _sweep_stack(
+            rng.exponential(size=(4, 3)), rng.exponential(size=(4, 3)), [0.1, 0.2, 0.3, 0.4],
+            *(rng.standard_normal((4, 3, 3)) for _ in range(4)), [1.0])
+        assert not p.flags.writeable and not q.flags.writeable
+        assert np.allclose(q.sum(axis=-1), 1.0) and np.all(np.abs(q - p).sum(axis=-1) <= 0.4 + 1e-12)
+        for state in rho + sigma:
+            assert not state.matrix.flags.writeable
+            assert np.allclose(state.matrix, state.matrix.conj().T)
+
+    def test_nan_epsilon_is_rejected_by_the_stacked_mix(self):
+        rng = np.random.default_rng(6)
+        p = simplex_points(rng.exponential(size=(2, 3)))
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            near_points(p, simplex_points(rng.exponential(size=(2, 3))), [0.1, np.nan])
+
+
 class TestCallCountGuards:
     """Deterministic counts, no timing: the sweep's numeric work must come from
     stacked calls, not from one call per (trial, alpha, k) cell."""
@@ -222,10 +278,14 @@ class TestCallCountGuards:
                     calls.append(_name)
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(np.linalg, name, counted)
-        trials, dims = 5, [2, 4, 8]
-        run_sweep(RunConfig(seed=1, trials=trials, alpha_grid=[0.5, 1.0, 3.0], dims=dims))
-        # sampling validates four matrices per (trial, dim); then one stacked svd per dim
-        assert 0 < len(calls) <= 4 * trials * len(dims) + len(dims)
+
+        def count(trials):
+            calls.clear()
+            run_sweep(RunConfig(seed=1, trials=trials, alpha_grid=[0.5, 1.0, 3.0], dims=[2, 4, 8]))
+            return len(calls)
+
+        # each dims entry is sampled, validated and checked as one stack
+        assert count(2) == count(8) > 0
 
     def test_entropy_term_calls_do_not_grow_with_trials(self, monkeypatch):
         calls = []

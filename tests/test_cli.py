@@ -1,14 +1,21 @@
 """Tests for the command-line front end: subcommands, formats, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entropic_sums.cli as cli
 from entropic_sums import RunConfig, bounds, cli_main, max_partial_sum, run_sweep
-from entropic_sums.cli import CSV_HEADER
+from entropic_sums.cli import CSV_HEADER, ReportRow
+from entropic_sums.serialize import fmt_cell
 
 #: Values of ENTROPIC_SUMS_TOL that every command must reject with exit 1.
 NON_FINITE_TOLS = ["nan", "inf", "-inf", "abc"]
@@ -201,6 +208,59 @@ class TestSweepCommand:
             RunConfig(seed=0, trials=0, alpha_grid=[1.0])
         with pytest.raises(ValueError):
             RunConfig(seed=0, trials=1, alpha_grid=[-1.0])
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
+    def test_runconfig_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            RunConfig(seed=0, trials=trials, alpha_grid=[1.0])
+
+    def test_runconfig_rejects_empty_dims(self):
+        with pytest.raises(ValueError, match="dims"):
+            RunConfig(seed=0, trials=1, alpha_grid=[1.0], dims=[])
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "460da4f8fbb7c259f6618f4ad0e91b008085d8e20ba09f5e4bcff6e2d310c577"),
+        ("json", "e6b90ab2d367b445dee72ed9b00a9ece9a2d5e5e9c811f30d59e6d0f5f7da329"),
+    ])
+    def test_dimension_one_pairs_sit_at_distance_zero(self, capsys, fmt, digest):
+        # every pair at dimension 1 is at distance 0, so no mixing weight is
+        # a division; the digests are those of the per-draw sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["sweep", "--dims", "1,2,1", "--trials", "3", "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: SHA-256 of the stdout of ``sweep`` commands, recorded from the per-draw
+#: implementation that the stacked sweep replaced.
+PINNED_SWEEPS = [
+    (["--alpha", "0.5,1,3", "--dims", "2,4,8", "--trials", "20", "--seed", "5"], "csv",
+     "16b104f2484669983709a3064c511353a895b1ed366ed20fd455b6f5ebcfff8c"),
+    (["--alpha", "0.5,1,3", "--dims", "2,4,8", "--trials", "20", "--seed", "5"], "json",
+     "cfe9ee3534e041076bf2a9c3a704fcd840cd9f33e48a59e6ea2baca40464f2af"),
+    (["--alpha", "0.7,2,5", "--dims", "16,3,1,3", "--k", "1,3", "--trials", "15", "--seed", "9"],
+     "csv", "501214df2e6db8964c2cc8203c6cce5d874cfcfefdb09d1da14ffe819d2ca107"),
+    (["--alpha", "0.7,2,5", "--dims", "16,3,1,3", "--k", "1,3", "--trials", "15", "--seed", "9"],
+     "json", "d3c0b34fe9b29b7b82b57359409845bdf296eb5751be97e270a4bbd03905e246"),
+]
+
+
+class TestPinnedSweepBytes:
+    """``sweep`` output for fixed seeds, pinned byte for byte.
+
+    The digests belong to the LAPACK build they were recorded with: numpy 2.4
+    on OpenBLAS 0.3.31 (scipy-openblas), x86-64. On that build a mismatch is
+    a change of the numbers, and on another build it may be LAPACK drift;
+    either way it is drift to report in CHANGES.md, with the size of the
+    change, never a value to refresh silently.
+    """
+
+    @pytest.mark.parametrize("argv, fmt, digest", PINNED_SWEEPS)
+    def test_stdout_digest(self, capsys, argv, fmt, digest):
+        assert cli_main(["sweep", *argv, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestAdversarialCommand:
@@ -469,3 +529,39 @@ class TestCrossFormat:
         lines = capsys.readouterr().out.splitlines()
         assert '"rhs": NaN' in lines[1] and '"margin": NaN' in lines[1]
         assert "NaN" not in lines[0]
+
+
+#: Floats the column-wise writer must render as fmt_cell does: signed zeros,
+#: non-finite values, subnormals and values that need all 17 digits.
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+               0.1 + 0.2, 1e16 + 2.0, 123456789.12345678, -1.0000000000000002]
+
+CELLS = {
+    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)),
+    "flag": st.sampled_from([True, False, None]),
+    "int": st.integers(),
+    "str": st.text(max_size=8),
+}
+CELLS["mixed"] = st.one_of(*CELLS.values())
+
+
+@st.composite
+def report_rows(draw):
+    n = draw(st.integers(0, 6))
+    columns = []
+    for _ in ReportRow._fields:
+        kind = draw(st.sampled_from(sorted(CELLS)))
+        columns.append(draw(st.lists(CELLS[kind], min_size=n, max_size=n)))
+    return [ReportRow(*cells) for cells in zip(*columns)] if n else []
+
+
+class TestColumnWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(report_rows())
+    def test_csv_matches_fmt_cell_per_cell(self, rows):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli._write_rows(rows, "csv", None)
+        expected = "".join(line + "\n" for line in
+                           [CSV_HEADER] + [",".join(map(fmt_cell, row)) for row in rows])
+        assert buf.getvalue() == expected

@@ -86,6 +86,25 @@ class TestSampleNear:
         sigma = sample_near(rho, 10.0, rng)
         assert ky_fan_norm(sigma.matrix - rho.matrix, 3) > 1e-3
 
+    def test_nan_epsilon_is_blamed_on_epsilon(self):
+        rng = np.random.default_rng(15)
+        p = sample_simplex(3, rng)
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            sample_near(p, float("nan"), rng)
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            sample_near(sample_density(2, rng), float("nan"), rng)
+
+    def test_infinite_epsilon_returns_the_fresh_sample(self):
+        rng, twin = np.random.default_rng(16), np.random.default_rng(16)
+        p = sample_simplex(4, rng)
+        q = sample_near(p, float("inf"), rng)
+        sample_simplex(4, twin)
+        assert np.allclose(q.values, sample_simplex(4, twin).values, rtol=0, atol=1e-15)
+        rho = sample_density(3, rng)
+        sigma = sample_near(rho, float("inf"), rng)
+        sample_density(3, twin)
+        assert np.allclose(sigma.matrix, sample_density(3, twin).matrix, rtol=0, atol=1e-15)
+
     def test_type_error(self):
         rng = np.random.default_rng(10)
         with pytest.raises(TypeError):
