@@ -196,14 +196,18 @@ def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None)
 
     ``values_a`` and ``values_b`` hold the paired distributions (probability
     vectors or spectra) along their last axis, shape ``(..., m)``;
-    ``distances[..., k-1]`` is the pair's distance for the k-th bound. Both
-    sides' partial sums come from one :func:`classical.partial_sums` call.
+    ``distances[..., k-1]`` is the pair's distance for the k-th bound. The
+    leading axes of the distances and of the distributions broadcast, so
+    several distances can be checked against the same pairs. Both sides'
+    partial sums come from one :func:`classical.partial_sums` call.
     """
     alphas = _orders(alphas)
     tol = check_tolerance(tol)
     sums = classical.partial_sums(np.stack([values_a, values_b]), alphas)
-    lhs = np.abs(sums[0] - sums[1])
-    eps = np.broadcast_to(np.asarray(distances)[..., None, :], lhs.shape)
+    eps = np.asarray(distances)[..., None, :]
+    shape = np.broadcast_shapes(eps.shape, sums.shape[1:])
+    lhs = np.broadcast_to(np.abs(sums[0] - sums[1]), shape)
+    eps = np.broadcast_to(eps, shape)
     ks = np.arange(1, lhs.shape[-1] + 1)
     per_order = [_fannes(eps[..., i, :], ks, a) for i, a in enumerate(alphas)]
     rhs, threshold, applicable = (np.stack(col, axis=-2) for col in zip(*per_order))
@@ -227,12 +231,25 @@ def quantum_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
                        quantum.ky_fan_distances(rho, sigma), alphas, tol)
 
 
+def _fidelity_distances(rho, sigma) -> np.ndarray:
+    return np.maximum(0.0, 2.0 * (1.0 - quantum.partial_fidelities(rho, sigma)[..., 1:]))
+
+
 def fidelity_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
     """Same checks as :func:`quantum_checks` but with the distance replaced by
     ``2 * (1 - partial_fidelity)``, which dominates the Ky Fan distance.
     Applicability is assessed against the substituted distance."""
-    eps = np.maximum(0.0, 2.0 * (1.0 - quantum.partial_fidelities(rho, sigma)[..., 1:]))
-    return pair_checks(quantum.spectra(rho), quantum.spectra(sigma), eps, alphas, tol)
+    return pair_checks(quantum.spectra(rho), quantum.spectra(sigma),
+                       _fidelity_distances(rho, sigma), alphas, tol)
+
+
+def density_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
+    """:func:`quantum_checks` and :func:`fidelity_checks` of the same pairs as
+    one table with a new leading axis of length 2: index 0 holds the Ky Fan
+    checks and index 1 the fidelity checks. The spectra and their partial
+    sums are computed once for both."""
+    distances = np.stack([quantum.ky_fan_distances(rho, sigma), _fidelity_distances(rho, sigma)])
+    return pair_checks(quantum.spectra(rho), quantum.spectra(sigma), distances, alphas, tol)
 
 
 def check_classical(p, q, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:

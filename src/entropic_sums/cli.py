@@ -8,6 +8,7 @@ any applicable bound is violated, 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import numbers
 import sys
@@ -73,6 +74,8 @@ class RunConfig:
     tolerance: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
@@ -259,11 +262,10 @@ def _cmd_check(args) -> list[ReportRow]:
         ks = _k_exact(args.k, first.dim)
         return _check_rows("check_classical", table, alphas, ks, first.dim, args.seed)
     if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
-        quantum = bounds.quantum_checks(first, second, alphas, tol)
-        fidelity = bounds.fidelity_checks(first, second, alphas, tol)
+        table = bounds.density_checks(first, second, alphas, tol)
         ks = _k_exact(args.k, first.dim)
-        rows = zip(_check_rows("check_quantum", quantum, alphas, ks, first.dim, args.seed),
-                   _check_rows("check_fidelity", fidelity, alphas, ks, first.dim, args.seed))
+        rows = zip(_check_rows("check_quantum", table, alphas, ks, first.dim, args.seed, (0,)),
+                   _check_rows("check_fidelity", table, alphas, ks, first.dim, args.seed, (1,)))
         return [row for pair in rows for row in pair]
     raise ValueError("check needs two distributions or two density operators")
 
@@ -383,7 +385,13 @@ def _k_policy(text: str):
     return _int_list(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    Sharing is safe: ``parse_args`` does not change the parser, every default
+    is immutable, and the list converters return a fresh list on each call.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")

@@ -1,6 +1,8 @@
 """Property tests for the batched all-k, all-order numeric core, and call-count
 guards that keep the sweep's work independent of the number of cells."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ from entropic_sums import (
     DensityOperator,
     RunConfig,
     binary_entropy,
+    cli_main,
+    density_checks,
     entropy_term,
     entropy_term_argmax,
     fannes_bounds,
+    fidelity_checks,
     ky_fan_distances,
     pair_checks,
     partial_distances,
@@ -21,6 +26,7 @@ from entropic_sums import (
     partial_sums,
     psd_sqrt,
     q_log,
+    quantum_checks,
     run_sweep,
     sample_density,
     sample_near,
@@ -258,6 +264,20 @@ class TestStackedBuilds:
             assert not state.matrix.flags.writeable
             assert np.allclose(state.matrix, state.matrix.conj().T)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_density_checks_stack_the_ky_fan_and_fidelity_tables(self, d):
+        # one pair and a sequence of pairs; each half equals its own table bit for bit
+        rng = np.random.default_rng(200 + d)
+        rho = density_operators(*(rng.standard_normal((3, d, d)) for _ in range(2)))
+        sigma = near_operators(rho, density_operators(*(rng.standard_normal((3, d, d)) for _ in range(2))),
+                               [1e-3, 0.05, 0.4])
+        alphas = [0.3, 1.0, 2.5, 7.0]
+        for a, b in ((rho[0], sigma[0]), (rho, sigma)):
+            table = density_checks(a, b, alphas)
+            for half, expected in enumerate((quantum_checks(a, b, alphas), fidelity_checks(a, b, alphas))):
+                for name in ("lhs", "epsilon", "rhs", "threshold", "applicable", "satisfied", "margin"):
+                    assert getattr(table, name)[half].tobytes() == getattr(expected, name).tobytes()
+
     def test_nan_epsilon_is_rejected_by_the_stacked_mix(self):
         rng = np.random.default_rng(6)
         p = simplex_points(rng.exponential(size=(2, 3)))
@@ -306,3 +326,25 @@ class TestCallCountGuards:
             return len(calls)
 
         assert count(2) == count(8) > 0
+
+    def test_density_check_makes_one_partial_sums_call(self, tmp_path, monkeypatch):
+        # the Ky Fan and the fidelity rows of a density pair share one lhs
+        rng = np.random.default_rng(12)
+        files = []
+        for name, state in zip(("rho.json", "sigma.json"),
+                               density_operators(*(rng.standard_normal((2, 4, 4)) for _ in range(2)))):
+            path = tmp_path / name
+            path.write_text(json.dumps({"kind": "density", "dim": 4, "re": state.matrix.real.tolist(),
+                                        "im": state.matrix.imag.tolist()}))
+            files.append(str(path))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return partial_sums(*args, **kwargs)
+
+        for mod in (entropic_sums.classical, entropic_sums.bounds, entropic_sums.cli):
+            if getattr(mod, "partial_sums", None) is partial_sums:
+                monkeypatch.setattr(mod, "partial_sums", counted)
+        assert cli_main(["check", *files, "--alpha", "0.5,2", "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == 1

@@ -1,10 +1,15 @@
 """Tests for the command-line front end: subcommands, formats, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -213,6 +218,21 @@ class TestSweepCommand:
     def test_runconfig_rejects_non_integer_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer"):
             RunConfig(seed=0, trials=trials, alpha_grid=[1.0])
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1])
+    def test_runconfig_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            RunConfig(seed=seed, trials=1, alpha_grid=[1.0])
+
+    def test_runconfig_accepts_integer_seeds(self):
+        for seed in (0, np.int64(7)):
+            assert RunConfig(seed=seed, trials=1, alpha_grid=[1.0]).seed == seed
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        assert cli_main(["sweep", "--seed", "-1", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_runconfig_rejects_empty_dims(self):
         with pytest.raises(ValueError, match="dims"):
@@ -447,6 +467,73 @@ class TestFormatsAndErrors:
         a = write_json(tmp_path / "a.json", {"kind": "prob_vector", "values": [1.0]})
         b = write_json(tmp_path / "b.json", {"kind": "prob_vector", "values": [0.5, 0.5]})
         assert cli_main(["check", a, b]) == 1
+
+
+#: The package's source directory, for the fresh ``python -m entropic_sums`` processes.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+class TestParserReuse:
+    """``cli_main`` builds its parser once per process and reuses it, so no
+    call may leave state in the parser that a later call sees."""
+
+    def test_parser_is_built_once(self, prob_files, monkeypatch, capsys):
+        assert cli_main(["demo", "instability"]) == 0
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        for argv in (["eval", prob_files[0]], ["sweep", "--trials", "2"], ["demo", "maxbounds"]):
+            assert cli_main(argv) == 0
+        assert calls == []
+        # the count does see a parser being built
+        cli._build_parser.__wrapped__()
+        assert len(calls) > 0
+
+    def test_every_default_is_immutable(self):
+        def defaults(parser):
+            yield from parser._defaults.values()
+            for action in parser._actions:
+                yield action.default
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from defaults(sub)
+
+        values = list(defaults(cli._build_parser()))
+        assert len(values) > 30
+        assert all(isinstance(v, (type(None), str, int, float, types.FunctionType)) for v in values)
+
+    def test_list_options_parse_to_fresh_lists(self):
+        parser = cli._build_parser()
+        first, second = (parser.parse_args(["sweep", "--alpha", "1,2", "--dims", "3"]) for _ in range(2))
+        assert first.alpha == second.alpha == [1.0, 2.0] and first.alpha is not second.alpha
+        assert first.dims is not second.dims
+
+    def test_reuse_matches_fresh_processes(self, density_files, monkeypatch, capsys):
+        # non-default options, a usage error, help and a bare group first; then defaults
+        sequence = [
+            ["adversarial", "--alpha", "2.5", "--k", "4", "--eps", "0.05"],
+            ["sweep", "--k", "1", "--dims", "8", "--format", "json"],
+            ["sweep", "--k", ","],
+            ["--help"],
+            ["demo"],
+            ["adversarial"],
+            ["sweep", "--trials", "3"],
+            ["demo", "maxbounds"],
+            ["check", *density_files],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        for argv in sequence:
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "entropic_sums", *argv],
+                                   capture_output=True, text=True, env=env, check=False)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 @pytest.fixture
