@@ -2,6 +2,8 @@
 Ky Fan norms and distances, Uhlmann partial fidelities, continuity (Fannes-type)
 bound checks, Lesche-style stability, and randomized verification harnesses."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     DEFAULT_CHECK_TOL,
     AdversarialResult,
@@ -88,81 +90,6 @@ from .sampling import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alpha",
-    "AdversarialResult",
-    "BoundValue",
-    "BoundViolationError",
-    "CheckTable",
-    "DensityOperator",
-    "InequalityCheck",
-    "JointDistribution",
-    "ProbVector",
-    "PureEnsemble",
-    "RankOnePOVM",
-    "ReportRow",
-    "RunConfig",
-    "DEFAULT_CHECK_TOL",
-    "SIMPLEX_TOL",
-    "HERMITIAN_TOL",
-    "PSD_TOL",
-    "COMMUTATOR_TOL",
-    "SPECTRUM_GAP_TOL",
-    "POVM_TOL",
-    "adversarial_search",
-    "as_alpha",
-    "basis_povm",
-    "binary_entropy",
-    "check_classical",
-    "check_fidelity_variant",
-    "check_quantum",
-    "check_tolerance",
-    "classical_checks",
-    "cli_main",
-    "density_checks",
-    "density_from_ensemble",
-    "eigenvalues_descending",
-    "entropy_gap_bound",
-    "entropy_sum_diff",
-    "entropy_term",
-    "entropy_term_argmax",
-    "fannes_bound",
-    "fannes_bounds",
-    "fidelity_checks",
-    "instability_example",
-    "kolmogorov_distance",
-    "ky_fan_distance",
-    "ky_fan_distances",
-    "ky_fan_norm",
-    "marginal",
-    "max_partial_bounds",
-    "max_partial_sum",
-    "pair_checks",
-    "partial_distance",
-    "partial_distances",
-    "partial_fidelities",
-    "partial_fidelity",
-    "partial_sum",
-    "partial_sums",
-    "partial_trace",
-    "povm_joint_probs",
-    "product_monotonicity_preconditions",
-    "psd_sqrt",
-    "q_log",
-    "quantum_checks",
-    "quantum_partial_sum",
-    "run_sweep",
-    "sample_density",
-    "sample_ensemble",
-    "sample_near",
-    "sample_povm",
-    "sample_simplex",
-    "sample_state_vector",
-    "schmidt_pure_state",
-    "singular_values_descending",
-    "spectra",
-    "stability_delta",
-    "stability_threshold",
-    "sum_largest_abs",
-    "tensor_product",
-]
+#: Every public name imported above; the submodules themselves are left out.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -8,11 +8,15 @@ any applicable bound is violated, 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import numbers
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -86,45 +90,106 @@ class RunConfig:
             raise ValueError("every alpha in the grid must be positive")
 
 
-def _k_range(policy, top: int) -> list[int]:
-    """The requested k that fit a dimension, in the order given."""
-    if policy in (None, "all"):
-        return list(range(1, top + 1))
-    return [k for k in policy if 1 <= k <= top]
-
-
-def _k_exact(policy, dim: int) -> list[int]:
-    """The requested k for one dimension; a k outside [1, dim] is an error."""
-    ks = _k_range(policy, dim)
-    if policy not in (None, "all") and len(ks) < len(policy):
-        bad = next(k for k in policy if not 1 <= k <= dim)
-        raise ValueError(f"k={bad} is outside [1, {dim}] for dimension {dim}")
-    return ks
-
-
-def _k_ranges(policy, dims: list[int]) -> list[list[int]]:
-    """The requested k per dimension, each filtered to fit; a dimension below 1
-    or a k that fits none of the dimensions is an error."""
-    if any(d < 1 for d in dims):
+def _k_lists(policy, dims):
+    """The requested k in the order given, for one dimension or per dimension
+    of a list; a k that fits no dimension, or a dimension below 1, is an error."""
+    tops = dims if isinstance(dims, list) else [dims]
+    if min(tops) < 1:
         raise ValueError(f"every dimension must be at least 1, got {dims}")
-    ranges = [_k_range(policy, d) for d in dims]
-    if policy not in (None, "all"):
-        fitted = {k for ks in ranges for k in ks}
-        unfit = [k for k in policy if k not in fitted]
-        if unfit:
-            raise ValueError(f"k={unfit[0]} fits none of the dimensions {dims}")
-    return ranges
+    ks = range(1, max(tops) + 1) if policy in (None, "all") else policy
+    unfit = [k for k in ks if not any(1 <= k <= top for top in tops)]
+    if unfit:
+        raise ValueError(f"k={unfit[0]} fits none of the dimensions {dims}" if tops is dims
+                         else f"k={unfit[0]} is outside [1, {dims}] for dimension {dims}")
+    ranges = [[k for k in ks if 1 <= k <= top] for top in tops]
+    return ranges if tops is dims else ranges[0]
 
 
-def _check_rows(experiment: str, table: bounds.CheckTable, alphas, ks: list[int], dim: int,
-                seed: int, at: tuple[int, ...] = ()) -> list[ReportRow]:
-    """Rows of one pair's checks, order-major and k-minor; ``at`` selects the
-    pair in a stacked table."""
-    eps, lhs, rhs, app, sat, margin = (getattr(table, name)[at].tolist() for name in
-                                       ("epsilon", "lhs", "rhs", "applicable", "satisfied", "margin"))
-    return [ReportRow(experiment, alpha, k, dim, eps[i][k - 1], lhs[i][k - 1], rhs[i][k - 1],
-                      app[i][k - 1], sat[i][k - 1] if app[i][k - 1] else None, margin[i][k - 1], seed)
-            for i, alpha in enumerate(alphas) for k in ks]
+class Batch(NamedTuple):
+    """Output cells by column, rows trial-major: ``cells`` holds the fields that
+    repeat in every trial (experiment, alpha, k, dim, seed), one tuple per cell
+    of one trial; ``chunks`` yields, per run of trials, the six fields from
+    epsilon to margin as arrays of shape (trials, len(cells))."""
+
+    cells: list[tuple]
+    chunks: Iterable[tuple[np.ndarray, ...]]
+
+
+_VARYING = ReportRow._fields[4:10]
+
+#: Trials that ``sweep`` draws, checks and writes at a time; memory stays flat
+#: in ``--trials``, and the output does not depend on it.
+SWEEP_CHUNK = 64
+
+
+def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[np.ndarray, ...]:
+    """The varying fields of the cells at flat ``index`` within each trial's
+    part of ``table``; a verdict is kept only where the check applies."""
+    eps, lhs, rhs, app, sat, margin = (getattr(table, name).reshape(trials, -1)[:, index]
+                                       for name in _VARYING)
+    return eps, lhs, rhs, app, np.where(app, sat, None), margin
+
+
+def _rows_batch(rows: list[ReportRow]) -> Batch:
+    """The one-trial batch of ``rows``."""
+    columns = np.array(list(zip(*rows))[4:10] or [()] * len(_VARYING), dtype=object)
+    return Batch([row[:4] + row[10:] for row in rows], [tuple(columns[:, None])])
+
+
+def _columns(chunk: tuple[np.ndarray, ...]) -> list[list]:
+    """The varying fields of one chunk as flat lists, rows trial-major."""
+    return [column.ravel().tolist() for column in chunk]
+
+
+def _batch_rows(cells: list[tuple], columns: list[list]) -> list[ReportRow]:
+    """The rows of one chunk of a batch, from its :func:`_columns`."""
+    return [ReportRow(*cell[:4], *values, cell[4]) for cell, *values in zip(cycle(cells), *columns)]
+
+
+def _sweep_batch(config: RunConfig) -> Batch:
+    """The batch of a sweep: inputs checked now, trials run as the chunks are read."""
+    dims, alphas = list(config.dims), config.alpha_grid
+    k_lists = _k_lists(config.k_policy, dims)
+    tol = bounds.check_tolerance(config.tolerance)
+    top = max(dims)
+    names = ("sweep_classical", "sweep_quantum")
+    grid = [(e, j, i, k) for e in range(2) for j, ks in enumerate(k_lists)
+            for i in range(len(alphas)) for k in ks]
+    cells = [(names[e], alphas[i], k, dims[j], config.seed) for e, j, i, k in grid]
+    index = [((e * len(dims) + j) * len(alphas) + i) * top + k - 1 for e, j, i, k in grid]
+    rng = np.random.default_rng(config.seed)
+
+    def chunks():
+        for start in range(0, config.trials, SWEEP_CHUNK):
+            trials = min(SWEEP_CHUNK, config.trials - start)
+            # per dims entry and trial: the raw draws of one classical and one quantum pair
+            draws: list[list[list]] = [[] for _ in dims]
+            for _ in range(trials):
+                for entry, m in zip(draws, dims):
+                    entry.append([rng.exponential(size=m), 10.0 ** rng.uniform(-3.0, 0.0),
+                                  rng.exponential(size=m)])
+                for entry, d in zip(draws, dims):
+                    entry[-1] += [rng.standard_normal((d, d)), rng.standard_normal((d, d)),
+                                  10.0 ** rng.uniform(-3.0, 0.0),
+                                  rng.standard_normal((d, d)), rng.standard_normal((d, d))]
+            # every entry zero-padded to the largest dimension (entropy_term(0) is
+            # exactly 0, so the sums at k <= m are unchanged), distances edge-padded
+            values = np.zeros((2, trials, 2, len(dims), top))
+            distances = np.empty((trials, 2, len(dims), top))
+            for j, (m, entry) in enumerate(zip(dims, draws)):
+                base, eps, fresh, re, im, eps_q, fresh_re, fresh_im = map(np.array, zip(*entry))
+                p = sampling.simplex_points(base)
+                q = sampling.near_points(p, sampling.simplex_points(fresh), eps)
+                rho = sampling.density_operators(re, im)
+                sigma = sampling.near_operators(rho, sampling.density_operators(fresh_re, fresh_im), eps_q)
+                for e, pair in enumerate(((p, q), (spectra(rho), spectra(sigma)))):
+                    values[:, :, e, j, :m] = pair
+                for e, dist in enumerate((partial_distances(p, q), ky_fan_distances(rho, sigma))):
+                    distances[:, e, j] = dist[:, -1:]
+                    distances[:, e, j, :m] = dist
+            yield _cut(bounds.pair_checks(*values, distances, alphas, tol), trials, index)
+
+    return Batch(cells, chunks())
 
 
 def run_sweep(config: RunConfig) -> list[ReportRow]:
@@ -132,43 +197,12 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
 
     Each trial draws, per ``dims`` entry, one base instance and a perturbed
     partner at a log-uniform target distance, then checks every (alpha, k)
-    cell. Draw order is fixed, so equal configs give identical output. All
-    draws come first; each ``dims`` entry's draws are then built, validated
-    and checked as one stack, its classical and quantum pairs in one table.
+    cell. Draw order is fixed, so equal configs give identical output. Trials
+    run in chunks of :data:`SWEEP_CHUNK`, each drawn first, then built and
+    validated per ``dims`` entry as one stack and checked in one table.
     """
-    dims = list(config.dims)
-    alphas = config.alpha_grid
-    k_lists = _k_ranges(config.k_policy, dims)
-    tol = bounds.check_tolerance(config.tolerance)
-    rng = np.random.default_rng(config.seed)
-    # per dims entry and trial: the raw draws of one classical and one quantum pair
-    classical_draws: list[list[tuple]] = [[] for _ in dims]
-    quantum_draws: list[list[tuple]] = [[] for _ in dims]
-    for _ in range(config.trials):
-        for draws, m in zip(classical_draws, dims):
-            draws.append((rng.exponential(size=m), 10.0 ** rng.uniform(-3.0, 0.0),
-                          rng.exponential(size=m)))
-        for draws, d in zip(quantum_draws, dims):
-            draws.append((rng.standard_normal((d, d)), rng.standard_normal((d, d)),
-                          10.0 ** rng.uniform(-3.0, 0.0),
-                          rng.standard_normal((d, d)), rng.standard_normal((d, d))))
-    tables = []
-    for c_draws, q_draws in zip(classical_draws, quantum_draws):
-        base, eps, fresh = map(np.array, zip(*c_draws))
-        real, imag, eps_q, fresh_real, fresh_imag = map(np.array, zip(*q_draws))
-        p = sampling.simplex_points(base)
-        q = sampling.near_points(p, sampling.simplex_points(fresh), eps)
-        rho = sampling.density_operators(real, imag)
-        sigma = sampling.near_operators(rho, sampling.density_operators(fresh_real, fresh_imag), eps_q)
-        tables.append(bounds.pair_checks(
-            np.concatenate([p, spectra(rho)]), np.concatenate([q, spectra(sigma)]),
-            np.concatenate([partial_distances(p, q), ky_fan_distances(rho, sigma)]), alphas, tol))
-    rows: list[ReportRow] = []
-    for t in range(config.trials):
-        for experiment, at in (("sweep_classical", (t,)), ("sweep_quantum", (config.trials + t,))):
-            for table, m, ks in zip(tables, dims, k_lists):
-                rows += _check_rows(experiment, table, alphas, ks, m, config.seed, at)
-    return rows
+    batch = _sweep_batch(config)
+    return [row for chunk in batch.chunks for row in _batch_rows(batch.cells, _columns(chunk))]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +218,7 @@ def _value_rows(experiment: str, values: np.ndarray, alphas, ks: list[int], dim:
             for i, alpha in enumerate(alphas) for k in ks]
 
 
-def _cmd_eval(args) -> list[ReportRow]:
+def _cmd_eval(args) -> Batch:
     if len(args.inputs) > 2:
         raise ValueError("eval takes one or two input files")
     objs = [load_instance(p) for p in args.inputs]
@@ -203,35 +237,35 @@ def _cmd_eval(args) -> list[ReportRow]:
             experiment, probs = "eval_quantum_partial_sum", spectra(density_from_ensemble(obj))
         else:
             raise ValueError("a POVM cannot be evaluated by itself; pair it with an ensemble")
-        ks = _k_exact(args.k, probs.size)
-        return _value_rows(experiment, partial_sums(probs, alphas), alphas, ks, probs.size, seed)
+        sums, ks = partial_sums(probs, alphas), _k_lists(args.k, probs.size)
+        return _rows_batch(_value_rows(experiment, sums, alphas, ks, probs.size, seed))
 
     first, second = objs
     if isinstance(first, ProbVector) and isinstance(second, ProbVector):
         if first.dim != second.dim:
             raise ValueError("the two distributions must have equal length")
         dim = first.dim
-        ks = _k_exact(args.k, dim)
+        ks = _k_lists(args.k, dim)
         sums = partial_sums(np.stack([first.values, second.values]), alphas)
         dists = partial_distances(first, second).tolist()
-        return (_value_rows("eval_classical_partial_sum_a", sums[0], alphas, ks, dim, seed)
-                + _value_rows("eval_classical_partial_sum_b", sums[1], alphas, ks, dim, seed)
-                + [ReportRow("eval_partial_distance", None, k, dim, dists[k - 1],
-                             None, None, None, None, None, seed) for k in ks])
+        return _rows_batch(_value_rows("eval_classical_partial_sum_a", sums[0], alphas, ks, dim, seed)
+                           + _value_rows("eval_classical_partial_sum_b", sums[1], alphas, ks, dim, seed)
+                           + [ReportRow("eval_partial_distance", None, k, dim, dists[k - 1],
+                                        None, None, None, None, None, seed) for k in ks])
     if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
         if first.dim != second.dim:
             raise ValueError("the two density operators must have equal dimension")
         dim = first.dim
-        ks = _k_exact(args.k, dim)
+        ks = _k_lists(args.k, dim)
         sums = partial_sums(spectra([first, second]), alphas)
         dists = ky_fan_distances(first, second).tolist()
         fids = partial_fidelities(first, second).tolist()
-        return (_value_rows("eval_quantum_partial_sum_a", sums[0], alphas, ks, dim, seed)
-                + _value_rows("eval_quantum_partial_sum_b", sums[1], alphas, ks, dim, seed)
-                + [ReportRow("eval_kyfan_distance", None, k, dim, dists[k - 1],
-                             None, None, None, None, None, seed) for k in ks]
-                + [ReportRow("eval_partial_fidelity", None, k, dim, None, fids[k],
-                             None, None, None, None, seed) for k in range(0, dim + 1)])
+        return _rows_batch(_value_rows("eval_quantum_partial_sum_a", sums[0], alphas, ks, dim, seed)
+                           + _value_rows("eval_quantum_partial_sum_b", sums[1], alphas, ks, dim, seed)
+                           + [ReportRow("eval_kyfan_distance", None, k, dim, dists[k - 1],
+                                        None, None, None, None, None, seed) for k in ks]
+                           + [ReportRow("eval_partial_fidelity", None, k, dim, None, fids[k],
+                                        None, None, None, None, seed) for k in range(0, dim + 1)])
     ens_povm = {type(first), type(second)} == {PureEnsemble, RankOnePOVM}
     if ens_povm:
         ens = first if isinstance(first, PureEnsemble) else second
@@ -239,7 +273,7 @@ def _cmd_eval(args) -> list[ReportRow]:
         rho = density_from_ensemble(ens)
         joint = povm_joint_probs(ens, povm).flattened()
         n_out = povm.n_outcomes
-        ks = _k_exact(args.k, rho.dim)
+        ks = _k_lists(args.k, rho.dim)
         lhs = partial_sums(spectra(rho), alphas).tolist()
         rhs = partial_sums(joint, alphas).tolist()
         rows = []
@@ -248,36 +282,37 @@ def _cmd_eval(args) -> list[ReportRow]:
                 lhs_k, rhs_k = lhs[i][k - 1], rhs[i][min(k * n_out, joint.dim) - 1]
                 rows.append(ReportRow("eval_povm_refinement", alpha, k, rho.dim, None,
                                       lhs_k, rhs_k, None, None, rhs_k - lhs_k, seed))
-        return rows
+        return _rows_batch(rows)
     raise ValueError("eval supports a single instance, a pair of like instances, "
                      "or an ensemble together with a POVM")
 
 
-def _cmd_check(args) -> list[ReportRow]:
+def _cmd_check(args) -> Batch:
     first, second = (load_instance(p) for p in args.inputs)
     alphas = args.alpha or [1.0]
     tol = bounds.check_tolerance()
     if isinstance(first, ProbVector) and isinstance(second, ProbVector):
         table = bounds.classical_checks(first, second, alphas, tol)
-        ks = _k_exact(args.k, first.dim)
-        return _check_rows("check_classical", table, alphas, ks, first.dim, args.seed)
-    if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
+        experiments = ("check_classical",)
+    elif isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
         table = bounds.density_checks(first, second, alphas, tol)
-        ks = _k_exact(args.k, first.dim)
-        rows = zip(_check_rows("check_quantum", table, alphas, ks, first.dim, args.seed, (0,)),
-                   _check_rows("check_fidelity", table, alphas, ks, first.dim, args.seed, (1,)))
-        return [row for pair in rows for row in pair]
-    raise ValueError("check needs two distributions or two density operators")
+        experiments = ("check_quantum", "check_fidelity")
+    else:
+        raise ValueError("check needs two distributions or two density operators")
+    dim = first.dim
+    ks = _k_lists(args.k, dim)
+    grid = [(e, i, k) for i in range(len(alphas)) for k in ks for e in range(len(experiments))]
+    cells = [(experiments[e], alphas[i], k, dim, args.seed) for e, i, k in grid]
+    index = [(e * len(alphas) + i) * dim + k - 1 for e, i, k in grid]
+    return Batch(cells, [_cut(table, 1, index)])
 
 
-def _cmd_sweep(args) -> list[ReportRow]:
-    config = RunConfig(seed=args.seed, trials=args.trials, alpha_grid=args.alpha or [1.0],
-                       k_policy=args.k,
-                       dims=args.dims or [4])
-    return run_sweep(config)
+def _cmd_sweep(args) -> Batch:
+    return _sweep_batch(RunConfig(seed=args.seed, trials=args.trials, alpha_grid=args.alpha or [1.0],
+                                  k_policy=args.k, dims=args.dims or [4]))
 
 
-def _cmd_adversarial(args) -> list[ReportRow]:
+def _cmd_adversarial(args) -> Batch:
     rows: list[ReportRow] = []
     tol = bounds.check_tolerance()
     ks = args.k if isinstance(args.k, list) else [1, 2]
@@ -297,23 +332,23 @@ def _cmd_adversarial(args) -> list[ReportRow]:
                     res, satisfied = exc.witness, False
                 rows.append(ReportRow("adversarial", alpha, k, k, eps, res.achieved, res.bound_rhs,
                                       True, satisfied, res.bound_rhs - res.achieved, args.seed))
-    return rows
+    return _rows_batch(rows)
 
 
-def _cmd_demo_instability(args) -> list[ReportRow]:
+def _cmd_demo_instability(args) -> Batch:
     rows = []
     for eps in args.eps or [1e-4]:
         d1, d2, ratio = instability_example(eps)
         rows.append(ReportRow("demo_instability", 1.0, 1, 2, eps, d1, d2,
                               None, None, ratio * eps, args.seed))
-    return rows
+    return _rows_batch(rows)
 
 
-def _cmd_demo_bell(args) -> list[ReportRow]:
+def _cmd_demo_bell(args) -> Batch:
     rows = []
     tol = bounds.check_tolerance()
     alphas = args.alpha or [1.0]
-    ks = _k_exact(args.k, 2)
+    ks = _k_lists(args.k, 2)
     for theta in args.theta or [np.pi / 6, np.pi / 4]:
         joint = schmidt_pure_state(theta)
         rho_a = partial_trace(joint, (2, 2), keep="A")
@@ -331,14 +366,14 @@ def _cmd_demo_bell(args) -> list[ReportRow]:
                 satisfied = bool(lhs <= rhs + tol) if applicable else None
                 rows.append(ReportRow(experiment, alpha, k, 4, None, lhs, rhs,
                                       applicable, satisfied, rhs - lhs, args.seed))
-    return rows
+    return _rows_batch(rows)
 
 
-def _cmd_demo_maxbounds(args) -> list[ReportRow]:
+def _cmd_demo_maxbounds(args) -> Batch:
     rows = []
     tol = bounds.check_tolerance()
     dims = args.dims or [6]
-    for m, ks in zip(dims, _k_ranges(args.k, dims)):
+    for m, ks in zip(dims, _k_lists(args.k, dims)):
         for alpha in args.alpha or [1.0]:
             for k in ks:
                 lower, upper, _cap = max_partial_bounds(k, alpha)
@@ -348,7 +383,7 @@ def _cmd_demo_maxbounds(args) -> list[ReportRow]:
                 satisfied = bool(lower - tol <= found <= upper + tol) if applicable else None
                 rows.append(ReportRow("demo_maxbounds", alpha, k, m, lower, found, upper,
                                       applicable, satisfied, upper - found, args.seed))
-    return rows
+    return _rows_batch(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +486,52 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_rows(rows: list[ReportRow], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = "".join(json.dumps(row._asdict()) + "\n" for row in rows)
-    else:
-        lines = map(",".join, zip(*map(fmt_column, zip(*rows))))
-        text = "".join(line + "\n" for line in [CSV_HEADER, *lines])
+def _write(batch: Batch, fmt: str, fh) -> bool:
+    """Write ``batch`` to ``fh`` a chunk at a time, CSV rows by one ``%`` format
+    per chunk into a template of each cell's fixed fields; True if any
+    applicable check among the written cells is violated."""
+    violated = False
+    if fmt == "csv":
+        fh.write(CSV_HEADER + "\n")
+        cell_texts = zip(*map(fmt_column, zip(*batch.cells)))
+        fixed = [(",".join(text[:4]).replace("%", "%%") + ",", "," + text[4].replace("%", "%%") + "\n")
+                 for text in cell_texts]
+    for chunk in batch.chunks:
+        columns = _columns(chunk)
+        violated = violated or (True, False) in zip(columns[3], columns[4])  # (applicable, satisfied)
+        if fmt == "json":
+            fh.write("".join(json.dumps(row._asdict()) + "\n" for row in _batch_rows(batch.cells, columns)))
+            continue
+        floats = [column.dtype == float for column in chunk]
+        middle = ",".join("%.17g" if f else "%s" for f in floats)
+        texts = [column if f else fmt_column(column) for f, column in zip(floats, columns)]
+        template = "".join(head + middle + tail for head, tail in fixed) * len(chunk[0])
+        fh.write(template % tuple(chain.from_iterable(zip(*texts))))
+    return violated
+
+
+def _write_out(batch: Batch, fmt: str, out: str | None) -> bool:
+    """:func:`_write` to stdout or to the file ``out``. A regular file is
+    written beside its target and renamed over it once complete, so a failed
+    run leaves no partial file and an earlier file untouched; a device or a
+    pipe is written in place."""
     if out is None:
-        sys.stdout.write(text)
-    else:
+        return _write(batch, fmt, sys.stdout)
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            return _write(batch, fmt, fh)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            violated = _write(batch, fmt, fh)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from None
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+    return violated
 
 
 def cli_main(argv=None) -> int:
@@ -477,15 +547,13 @@ def cli_main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        rows = args.func(args)
+        violated = _write_out(args.func(args), args.format, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except bounds.BoundViolationError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 2
-    _write_rows(rows, args.format, args.out)
-    violated = any(r.applicable is True and r.satisfied is False for r in rows)
     return 2 if violated else 0
 
 

@@ -285,6 +285,39 @@ class TestStackedBuilds:
             near_points(p, simplex_points(rng.exponential(size=(2, 3))), [0.1, np.nan])
 
 
+class TestPaddedPairChecks:
+    """Entries of several dimensions, zero-padded to the largest and checked in
+    one table, equal their own tables bit for bit at every k <= m:
+    entropy_term(0) is exactly 0, so the padding only appends zero terms
+    after the largest-first running sums."""
+
+    def test_padded_entries_match_separate_calls(self):
+        rng = np.random.default_rng(31)
+        alphas = [0.3, 1.0, 1.0 + 1e-7, 2.5, 7.0]
+        dims, n = (1, 2, 3, 8, 16), 5
+        top = max(dims)
+        values = np.zeros((2, len(dims), n, top))
+        distances = np.empty((len(dims), n, top))
+        entries = []
+        for j, m in enumerate(dims):
+            g = rng.exponential(size=(n, m))
+            g[0, : m // 2] = 0.0  # exact zeros among the real entries
+            a = simplex_points(g)
+            # near pairs, an independent pair and an identical pair
+            b = near_points(a, simplex_points(rng.exponential(size=(n, m))),
+                            [1e-3, 0.05, 0.3, np.inf, 0.0])
+            dist = partial_distances(a, b)
+            values[:, j, :, :m] = a, b
+            distances[j] = dist[:, -1:]
+            distances[j, :, :m] = dist
+            entries.append((m, a, b, dist))
+        table = pair_checks(*values, distances, alphas)
+        for j, (m, a, b, dist) in enumerate(entries):
+            expected = pair_checks(a, b, dist, alphas)
+            for name in ("lhs", "epsilon", "rhs", "threshold", "applicable", "satisfied", "margin"):
+                assert getattr(table, name)[j, ..., :m].tobytes() == getattr(expected, name).tobytes()
+
+
 class TestCallCountGuards:
     """Deterministic counts, no timing: the sweep's numeric work must come from
     stacked calls, not from one call per (trial, alpha, k) cell."""

@@ -1,7 +1,6 @@
 """Tests for the command-line front end: subcommands, formats, exit codes."""
 
 import argparse
-import contextlib
 import hashlib
 import io
 import json
@@ -469,6 +468,87 @@ class TestFormatsAndErrors:
         assert cli_main(["check", a, b]) == 1
 
 
+class TestOutFile:
+    """``--out`` is written beside its target and renamed over it when done."""
+
+    def test_missing_directory_is_an_input_error(self, prob_files, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["check", *prob_files, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
+    def test_failed_run_leaves_an_existing_file_untouched(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_text("earlier run\n")
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("second chunk failed")
+            return bounds.pair_checks(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 1)
+        monkeypatch.setattr(cli.bounds, "pair_checks", failing)
+        assert cli_main(["sweep", "--dims", "2", "--trials", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: second chunk failed\n"
+        assert out.read_text() == "earlier run\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_success_replaces_the_file_and_leaves_no_temporary(self, prob_files, tmp_path, capsys):
+        out = tmp_path / "results" / "out.csv"
+        out.parent.mkdir()
+        out.write_text("earlier run\n")
+        assert cli_main(["check", *prob_files]) == 0
+        expected = capsys.readouterr().out
+        assert cli_main(["check", *prob_files, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == expected
+        assert os.listdir(out.parent) == ["out.csv"]
+
+
+    def test_symlink_is_written_through(self, prob_files, tmp_path, capsys):
+        folder = tmp_path / "results"
+        folder.mkdir()
+        (folder / "real.csv").write_text("earlier run\n")
+        (folder / "link.csv").symlink_to("real.csv")
+        assert cli_main(["check", *prob_files, "--out", str(folder / "link.csv")]) == 0
+        assert (folder / "link.csv").is_symlink()
+        assert (folder / "real.csv").read_text().startswith(CSV_HEADER)
+        assert sorted(os.listdir(folder)) == ["link.csv", "real.csv"]
+
+
+class TestSweepChunks:
+    """``sweep`` runs in chunks of ``SWEEP_CHUNK`` trials; the output and the
+    exit code do not depend on the chunk size."""
+
+    ARGV = ["sweep", "--alpha", "0.5,1,3", "--dims", "2,4,8,1", "--k", "1,2,8", "--trials", "7", "--seed", "5"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_output_is_that_of_one_chunk(self, monkeypatch, capsys, fmt, chunk):
+        assert cli.SWEEP_CHUNK >= 7
+        assert cli_main(self.ARGV + ["--format", fmt]) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+        assert cli_main(self.ARGV + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_violation_in_a_middle_chunk_sets_the_exit_code(self, monkeypatch, capsys):
+        # at seed 14267 only trial 1 has checks that apply; with ENTROPIC_SUMS_TOL
+        # at -1 every check that applies is violated
+        monkeypatch.setenv("ENTROPIC_SUMS_TOL", "-1")
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 1)
+        argv = ["sweep", "--alpha", "1", "--dims", "2", "--k", "2", "--seed", "14267", "--trials", "3"]
+        assert cli_main(argv) == 2
+        verdicts = [r["satisfied"] for r in parse_csv(capsys.readouterr().out)]
+        assert verdicts == ["", "", "false", "false", "", ""]
+        assert cli_main(argv[:-1] + ["1"]) == 0
+
+
 #: The package's source directory, for the fresh ``python -m entropic_sums`` processes.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -589,9 +669,14 @@ class TestCrossFormat:
     def test_csv_and_json_carry_the_same_rows(self, instance_files, monkeypatch, capsys, name):
         argv = [instance_files.get(tok, tok) for tok in CROSS_FORMAT_ARGV[name]]
         written = []
-        write = cli._write_rows
-        monkeypatch.setattr(cli, "_write_rows",
-                            lambda rows, fmt, out: written.append(rows) or write(rows, fmt, out))
+        write = cli._write
+
+        def keep(batch, fmt, fh):
+            batch = cli.Batch(batch.cells, list(batch.chunks))
+            written.extend(row for chunk in batch.chunks for row in cli._batch_rows(batch.cells, cli._columns(chunk)))
+            return write(batch, fmt, fh)
+
+        monkeypatch.setattr(cli, "_write", keep)
         assert cli_main(argv + ["--format", "csv"]) == 0
         header, *cells = [line.split(",") for line in capsys.readouterr().out.splitlines()]
         assert cli_main(argv + ["--format", "json"]) == 0
@@ -603,7 +688,7 @@ class TestCrossFormat:
             for value, cell in zip(obj.values(), row):
                 assert same_cell(value, cell), (value, cell)
         builtin = (str, int, float, bool, type(None))
-        assert all(type(value) in builtin for rows in written for row in rows for value in row)
+        assert all(type(value) in builtin for row in written for value in row)
 
     def test_past_distance_one_rhs_and_margin_are_nan(self, instance_files, capsys):
         # (0.6, 0.4) against (0, 1): the partial distance is 0.6 at k = 1, 1.2 at k = 2
@@ -647,8 +732,7 @@ class TestColumnWriter:
     @given(report_rows())
     def test_csv_matches_fmt_cell_per_cell(self, rows):
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            cli._write_rows(rows, "csv", None)
+        cli._write(cli._rows_batch(rows), "csv", buf)
         expected = "".join(line + "\n" for line in
                            [CSV_HEADER] + [",".join(map(fmt_cell, row)) for row in rows])
         assert buf.getvalue() == expected
