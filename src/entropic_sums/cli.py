@@ -97,7 +97,7 @@ def _k_lists(policy, dims):
     if min(tops) < 1:
         raise ValueError(f"every dimension must be at least 1, got {dims}")
     ks = range(1, max(tops) + 1) if policy in (None, "all") else policy
-    unfit = [k for k in ks if not any(1 <= k <= top for top in tops)]
+    unfit = [k for k in ks if not 1 <= k <= max(tops)]
     if unfit:
         raise ValueError(f"k={unfit[0]} fits none of the dimensions {dims}" if tops is dims
                          else f"k={unfit[0]} is outside [1, {dims}] for dimension {dims}")
@@ -125,7 +125,8 @@ SWEEP_CHUNK = 64
 def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[np.ndarray, ...]:
     """The varying fields of the cells at flat ``index`` within each trial's
     part of ``table``; a verdict is kept only where the check applies."""
-    eps, lhs, rhs, app, sat, margin = (getattr(table, name).reshape(trials, -1)[:, index]
+    index = np.asarray(index)
+    eps, lhs, rhs, app, sat, margin = (getattr(table, name).reshape(trials, -1).take(index, axis=1)
                                        for name in _VARYING)
     return eps, lhs, rhs, app, np.where(app, sat, None), margin
 
@@ -141,9 +142,10 @@ def _columns(chunk: tuple[np.ndarray, ...]) -> list[list]:
     return [column.ravel().tolist() for column in chunk]
 
 
-def _batch_rows(cells: list[tuple], columns: list[list]) -> list[ReportRow]:
-    """The rows of one chunk of a batch, from its :func:`_columns`."""
-    return [ReportRow(*cell[:4], *values, cell[4]) for cell, *values in zip(cycle(cells), *columns)]
+def _batch_rows(cells: list[tuple], columns: list[list]) -> list[tuple]:
+    """The rows of one chunk of a batch, from its :func:`_columns`, as tuples
+    in the field order of :class:`ReportRow`."""
+    return [cell[:4] + values + cell[4:] for cell, values in zip(cycle(cells), zip(*columns))]
 
 
 def _sweep_batch(config: RunConfig) -> Batch:
@@ -202,7 +204,8 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
     validated per ``dims`` entry as one stack and checked in one table.
     """
     batch = _sweep_batch(config)
-    return [row for chunk in batch.chunks for row in _batch_rows(batch.cells, _columns(chunk))]
+    rows = (row for chunk in batch.chunks for row in _batch_rows(batch.cells, _columns(chunk)))
+    return list(map(ReportRow._make, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +213,16 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _value_rows(experiment: str, values: np.ndarray, alphas, ks: list[int], dim: int,
-                seed: int) -> list[ReportRow]:
-    """``eval`` rows carrying one value per (alpha, k) cell in ``lhs``."""
-    vals = values.tolist()
-    return [ReportRow(experiment, alpha, k, dim, None, vals[i][k - 1], None, None, None, None, seed)
-            for i, alpha in enumerate(alphas) for k in ks]
+def _value_batch(blocks, dim: int, seed: int) -> Batch:
+    """The one-trial batch of ``eval``'s blocks, in order. A block is
+    (experiment, alphas, ks, fields): its cells run alpha-major and k-minor,
+    each named field holds an (n_alpha, len(ks)) grid, the others are None."""
+    cells, columns = [], {name: [] for name in _VARYING}
+    for experiment, alphas, ks, fields in blocks:
+        cells += [(experiment, alpha, k, dim, seed) for alpha in alphas for k in ks]
+        for name, column in columns.items():
+            column += np.ravel(fields[name]).tolist() if name in fields else [None] * (len(alphas) * len(ks))
+    return Batch(cells, [tuple(np.array([column]) for column in columns.values())])
 
 
 def _cmd_eval(args) -> Batch:
@@ -237,8 +244,9 @@ def _cmd_eval(args) -> Batch:
             experiment, probs = "eval_quantum_partial_sum", spectra(density_from_ensemble(obj))
         else:
             raise ValueError("a POVM cannot be evaluated by itself; pair it with an ensemble")
-        sums, ks = partial_sums(probs, alphas), _k_lists(args.k, probs.size)
-        return _rows_batch(_value_rows(experiment, sums, alphas, ks, probs.size, seed))
+        ks = _k_lists(args.k, probs.size)
+        sums = partial_sums(probs, alphas)[:, [k - 1 for k in ks]]
+        return _value_batch([(experiment, alphas, ks, {"lhs": sums})], probs.size, seed)
 
     first, second = objs
     if isinstance(first, ProbVector) and isinstance(second, ProbVector):
@@ -246,43 +254,35 @@ def _cmd_eval(args) -> Batch:
             raise ValueError("the two distributions must have equal length")
         dim = first.dim
         ks = _k_lists(args.k, dim)
-        sums = partial_sums(np.stack([first.values, second.values]), alphas)
-        dists = partial_distances(first, second).tolist()
-        return _rows_batch(_value_rows("eval_classical_partial_sum_a", sums[0], alphas, ks, dim, seed)
-                           + _value_rows("eval_classical_partial_sum_b", sums[1], alphas, ks, dim, seed)
-                           + [ReportRow("eval_partial_distance", None, k, dim, dists[k - 1],
-                                        None, None, None, None, None, seed) for k in ks])
+        at = [k - 1 for k in ks]
+        sums = partial_sums(np.stack([first.values, second.values]), alphas)[..., at]
+        return _value_batch([("eval_classical_partial_sum_a", alphas, ks, {"lhs": sums[0]}),
+                             ("eval_classical_partial_sum_b", alphas, ks, {"lhs": sums[1]}),
+                             ("eval_partial_distance", [None], ks,
+                              {"epsilon": partial_distances(first, second)[at]})], dim, seed)
     if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
         if first.dim != second.dim:
             raise ValueError("the two density operators must have equal dimension")
         dim = first.dim
         ks = _k_lists(args.k, dim)
-        sums = partial_sums(spectra([first, second]), alphas)
-        dists = ky_fan_distances(first, second).tolist()
-        fids = partial_fidelities(first, second).tolist()
-        return _rows_batch(_value_rows("eval_quantum_partial_sum_a", sums[0], alphas, ks, dim, seed)
-                           + _value_rows("eval_quantum_partial_sum_b", sums[1], alphas, ks, dim, seed)
-                           + [ReportRow("eval_kyfan_distance", None, k, dim, dists[k - 1],
-                                        None, None, None, None, None, seed) for k in ks]
-                           + [ReportRow("eval_partial_fidelity", None, k, dim, None, fids[k],
-                                        None, None, None, None, seed) for k in range(0, dim + 1)])
-    ens_povm = {type(first), type(second)} == {PureEnsemble, RankOnePOVM}
-    if ens_povm:
+        at = [k - 1 for k in ks]
+        sums = partial_sums(spectra([first, second]), alphas)[..., at]
+        return _value_batch([("eval_quantum_partial_sum_a", alphas, ks, {"lhs": sums[0]}),
+                             ("eval_quantum_partial_sum_b", alphas, ks, {"lhs": sums[1]}),
+                             ("eval_kyfan_distance", [None], ks,
+                              {"epsilon": ky_fan_distances(first, second)[at]}),
+                             ("eval_partial_fidelity", [None], range(dim + 1),
+                              {"lhs": partial_fidelities(first, second)})], dim, seed)
+    if {type(first), type(second)} == {PureEnsemble, RankOnePOVM}:
         ens = first if isinstance(first, PureEnsemble) else second
         povm = first if isinstance(first, RankOnePOVM) else second
         rho = density_from_ensemble(ens)
         joint = povm_joint_probs(ens, povm).flattened()
-        n_out = povm.n_outcomes
         ks = _k_lists(args.k, rho.dim)
-        lhs = partial_sums(spectra(rho), alphas).tolist()
-        rhs = partial_sums(joint, alphas).tolist()
-        rows = []
-        for i, alpha in enumerate(alphas):
-            for k in ks:
-                lhs_k, rhs_k = lhs[i][k - 1], rhs[i][min(k * n_out, joint.dim) - 1]
-                rows.append(ReportRow("eval_povm_refinement", alpha, k, rho.dim, None,
-                                      lhs_k, rhs_k, None, None, rhs_k - lhs_k, seed))
-        return _rows_batch(rows)
+        lhs = partial_sums(spectra(rho), alphas)[:, [k - 1 for k in ks]]
+        rhs = partial_sums(joint, alphas)[:, [min(k * povm.n_outcomes, joint.dim) - 1 for k in ks]]
+        fields = {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
+        return _value_batch([("eval_povm_refinement", alphas, ks, fields)], rho.dim, seed)
     raise ValueError("eval supports a single instance, a pair of like instances, "
                      "or an ensemble together with a POVM")
 
@@ -500,7 +500,8 @@ def _write(batch: Batch, fmt: str, fh) -> bool:
         columns = _columns(chunk)
         violated = violated or (True, False) in zip(columns[3], columns[4])  # (applicable, satisfied)
         if fmt == "json":
-            fh.write("".join(json.dumps(row._asdict()) + "\n" for row in _batch_rows(batch.cells, columns)))
+            rows = _batch_rows(batch.cells, columns)
+            fh.write("".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows))
             continue
         floats = [column.dtype == float for column in chunk]
         middle = ",".join("%.17g" if f else "%s" for f in floats)
