@@ -109,7 +109,8 @@ class Batch(NamedTuple):
     """Output cells by column, rows trial-major: ``cells`` holds the fields that
     repeat in every trial (experiment, alpha, k, dim, seed), one tuple per cell
     of one trial; ``chunks`` yields, per run of trials, the six fields from
-    epsilon to margin as arrays of shape (trials, len(cells))."""
+    epsilon to margin, each an array of shape (trials, len(cells)) or, for
+    rows built one at a time, a sequence of one value per row."""
 
     cells: list[tuple]
     chunks: Iterable[tuple[np.ndarray, ...]]
@@ -133,13 +134,13 @@ def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[np.nd
 
 def _rows_batch(rows: list[ReportRow]) -> Batch:
     """The one-trial batch of ``rows``."""
-    columns = np.array(list(zip(*rows))[4:10] or [()] * len(_VARYING), dtype=object)
-    return Batch([row[:4] + row[10:] for row in rows], [tuple(columns[:, None])])
+    columns = list(zip(*rows))[4:10] or [()] * len(_VARYING)
+    return Batch([row[:4] + row[10:] for row in rows], [tuple(columns)])
 
 
-def _columns(chunk: tuple[np.ndarray, ...]) -> list[list]:
-    """The varying fields of one chunk as flat lists, rows trial-major."""
-    return [column.ravel().tolist() for column in chunk]
+def _columns(chunk: tuple) -> list:
+    """The varying fields of one chunk as flat sequences, rows trial-major."""
+    return [column.ravel().tolist() if isinstance(column, np.ndarray) else column for column in chunk]
 
 
 def _batch_rows(cells: list[tuple], columns: list[list]) -> list[tuple]:
@@ -222,7 +223,7 @@ def _value_batch(blocks, dim: int, seed: int) -> Batch:
         cells += [(experiment, alpha, k, dim, seed) for alpha in alphas for k in ks]
         for name, column in columns.items():
             column += np.ravel(fields[name]).tolist() if name in fields else [None] * (len(alphas) * len(ks))
-    return Batch(cells, [tuple(np.array([column]) for column in columns.values())])
+    return Batch(cells, [tuple(columns.values())])
 
 
 def _cmd_eval(args) -> Batch:
@@ -503,11 +504,11 @@ def _write(batch: Batch, fmt: str, fh) -> bool:
             rows = _batch_rows(batch.cells, columns)
             fh.write("".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows))
             continue
-        floats = [column.dtype == float for column in chunk]
+        floats = [isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
         middle = ",".join("%.17g" if f else "%s" for f in floats)
         texts = [column if f else fmt_column(column) for f, column in zip(floats, columns)]
-        template = "".join(head + middle + tail for head, tail in fixed) * len(chunk[0])
-        fh.write(template % tuple(chain.from_iterable(zip(*texts))))
+        trial = "".join(head + middle + tail for head, tail in fixed)
+        fh.write((trial * (len(columns[0]) // max(len(fixed), 1))) % tuple(chain.from_iterable(zip(*texts))))
     return violated
 
 
