@@ -509,7 +509,6 @@ class TestOutFile:
         assert out.read_text() == expected
         assert os.listdir(out.parent) == ["out.csv"]
 
-
     def test_symlink_is_written_through(self, prob_files, tmp_path, capsys):
         folder = tmp_path / "results"
         folder.mkdir()
@@ -525,7 +524,8 @@ class TestSweepChunks:
     """``sweep`` runs in chunks of ``SWEEP_CHUNK`` trials; the output and the
     exit code do not depend on the chunk size."""
 
-    ARGV = ["sweep", "--alpha", "0.5,1,3", "--dims", "2,4,8,1", "--k", "1,2,8", "--trials", "7", "--seed", "5"]
+    ARGV = ["sweep", "--alpha", "0.5,1,3", "--dims", "2,4,8,1", "--k", "1,2,8", "--trials", "7",
+            "--seed", "5"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [1, 3])
@@ -673,7 +673,8 @@ class TestCrossFormat:
 
         def keep(batch, fmt, fh):
             batch = cli.Batch(batch.cells, list(batch.chunks))
-            written.extend(row for chunk in batch.chunks for row in cli._batch_rows(batch.cells, cli._columns(chunk)))
+            for chunk in batch.chunks:
+                written.extend(cli._batch_rows(batch.cells, cli._columns(chunk)))
             return write(batch, fmt, fh)
 
         monkeypatch.setattr(cli, "_write", keep)
