@@ -282,6 +282,85 @@ class TestPinnedSweepBytes:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+#: Commands other than ``sweep``: name -> (argv, exit code); "P", "RHO", ...
+#: name the files of ``instance_files``.
+PINNED_COMMANDS = {
+    "check-vector-pair": (["check", "V", "W", "--alpha", "0.5,1,2.5"], 0),
+    "eval-vector-pair": (["eval", "V", "W", "--alpha", "0.5,1,2.5"], 0),
+    "check-past-distance-one": (["check", "P", "FAR", "--alpha", "0.5,1,2.5"], 0),
+    "check-density-pair": (["check", "RHO", "SIGMA", "--alpha", "0.5,1,2.5"], 0),
+    "eval-density-pair": (["eval", "RHO", "SIGMA", "--alpha", "0.5,1,2.5"], 0),
+    "eval-ensemble-povm": (["eval", "ENS", "POVM", "--alpha", "0.5,1,2.5"], 0),
+    "check-ensemble-povm": (["check", "ENS", "POVM", "--alpha", "0.5,1,2.5"], 1),
+    "adversarial": (["adversarial", "--alpha", "0.5,1,2.5", "--k", "1,2,3", "--eps", "0.05,0.1,0.9"], 0),
+    "demo-maxbounds": (["demo", "maxbounds", "--dims", "1,4,6", "--alpha", "0.5,1,2.5"], 0),
+    "demo-bell": (["demo", "bell", "--alpha", "0.5,1,2.5"], 0),
+    "demo-instability": (["demo", "instability", "--eps", "1e-4,0.01,0.3"], 0),
+}
+
+#: SHA-256 of the stdout of each of ``PINNED_COMMANDS`` per format, recorded
+#: from the writer that rendered JSON with one ``json.dumps`` per row.
+PINNED_COMMAND_DIGESTS = {
+    ("check-vector-pair", "csv"):
+        "1f51beb6bc79a794aa4f41fa7bf11e605dc5a4a63506fa9727b2158e62233f7e",
+    ("check-vector-pair", "json"):
+        "f43af9d8d2af49b024fbe6dcc9f7075ba406c99cd517d7d2b44dbd76bd057f1b",
+    ("eval-vector-pair", "csv"):
+        "e586bd84e5f19f662c88a967030994f28451134b7dc8d936365513beaecd31f7",
+    ("eval-vector-pair", "json"):
+        "eba35b08413a0132f2640b0801b364304cb6c5d14259c5c2f748845fea504116",
+    ("check-past-distance-one", "csv"):
+        "3602dc15730c107d24e017bdfca5a8bd56a541fde3458c3f3bbaeb8a4cadff53",
+    ("check-past-distance-one", "json"):
+        "d7b2bb65d95a647f5e384f7a9cac2d16b880d0fa1a2e6ee8ac411caa7d472a07",
+    ("check-density-pair", "csv"):
+        "b1a9d5f51300c0f6a6252177e581952a47dc470f1e993232dcfb14c3d7432585",
+    ("check-density-pair", "json"):
+        "76556a9bc36d58677cba5d75e0326bcbc3511c9134e757c50b5b0abb6879cbf3",
+    ("eval-density-pair", "csv"):
+        "e14904e16b6c99a8f8e611b9dc40a9b031919186e2f0df7f54e2858bee995d5e",
+    ("eval-density-pair", "json"):
+        "fa799e4fb09296fbfd5ec9708a32d7b6d94630456115b64a0adabbf5e9666f4d",
+    ("eval-ensemble-povm", "csv"):
+        "35665f724fb8f6eb6cf8d882faf62124eec0e604e2ad6ccc7ee703fcf1ca56b8",
+    ("eval-ensemble-povm", "json"):
+        "e73fa053db435f628cdee7b773a0835cee86abf6b52cb69ac9918dfd90104ddc",
+    ("check-ensemble-povm", "csv"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("check-ensemble-povm", "json"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("adversarial", "csv"):
+        "b8769c947eaeb35f9655923d42e26047dbbd4d7f7001ba8943fe69d3315fa756",
+    ("adversarial", "json"):
+        "72b3987a0458c38f87025292f1d4f7de41d7d5f4b191f38b291276917dabacf9",
+    ("demo-maxbounds", "csv"):
+        "167606fa230390e1600a327077722245f21e6790877691dd7019ba45af067f86",
+    ("demo-maxbounds", "json"):
+        "5948171f350ca025c52513c9dfda1aef9722ab8be5f79bbf657dfb7b872c870f",
+    ("demo-bell", "csv"):
+        "9d38350b6aba6cf73cdf8dce49b46907fbbb44e059fa13a427cdcb05fe18e1a8",
+    ("demo-bell", "json"):
+        "6e01b3905c50202a2a9c5d4c20efc158222c2790f5a1573ed6aad2827c20f45c",
+    ("demo-instability", "csv"):
+        "70b8e9e4daba2e3c4eda777c68a11d2ddb98913e7e54ad4024dd4d4502a466ba",
+    ("demo-instability", "json"):
+        "54f981675f0041e13c5b33b8317a03f6b87f775d2379740931facc89187c7e0e",
+}
+
+
+class TestPinnedCommandBytes:
+    """Output of every other subcommand, pinned byte for byte, with the LAPACK
+    caveat of :class:`TestPinnedSweepBytes` for the density and demo rows."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", PINNED_COMMANDS)
+    def test_stdout_digest(self, instance_files, capsys, name, fmt):
+        argv, code = PINNED_COMMANDS[name]
+        assert cli_main([instance_files.get(tok, tok) for tok in argv] + ["--format", fmt]) == code
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == PINNED_COMMAND_DIGESTS.get((name, fmt)), digest
+
+
 class TestAdversarialCommand:
     def test_grid_rows(self, capsys):
         code = cli_main(["adversarial", "--alpha", "1", "--k", "1", "--eps", "0.05,0.9",
@@ -621,6 +700,10 @@ def instance_files(tmp_path, prob_files, density_files):
     """Placeholder name -> path, for argv lists that name their input files."""
     return {
         "P": prob_files[0], "Q": prob_files[1],
+        "V": write_json(tmp_path / "v.json", {"kind": "prob_vector",
+                                              "values": [0.05, 0.1, 0.15, 0.2, 0.22, 0.28]}),
+        "W": write_json(tmp_path / "w.json", {"kind": "prob_vector",
+                                              "values": [0.3, 0.1, 0.1, 0.2, 0.2, 0.1]}),
         "FAR": write_json(tmp_path / "far.json", {"kind": "prob_vector", "values": [0.0, 1.0]}),
         "RHO": density_files[0], "SIGMA": density_files[1],
         "JOINT": write_json(tmp_path / "joint.json", {
