@@ -14,7 +14,6 @@ from .entropy import (
     Alpha,
     AlphaLike,
     as_alpha,
-    binary_entropy,
     entropy_gap_bound,
     entropy_term,
     entropy_term_argmax,
@@ -131,20 +130,32 @@ def _regime(a: Alpha) -> str:
     return "low_alpha" if a.value <= 2.0 else "high_alpha"
 
 
-def _fannes(epsilon, ks, a: Alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_distances(eps) -> None:
+    if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
+        raise ValueError("epsilon must be a finite nonnegative real")
+
+
+def _checked(epsilon, ks) -> tuple[np.ndarray, np.ndarray]:
+    """``epsilon`` and ``ks`` as arrays, once every k is known to be a positive
+    integer and every distance finite and nonnegative."""
     ks = np.asarray(ks)
     if np.any(ks != np.floor(ks)) or np.any(ks < 1):
         raise ValueError("k must be a positive integer")
     eps = np.asarray(epsilon, dtype=float)
-    if not np.all(np.isfinite(eps)) or np.any(eps < 0.0):
-        raise ValueError("epsilon must be a finite nonnegative real")
+    _check_distances(eps)
+    return eps, ks
+
+
+def _fannes(eps: np.ndarray, ks: np.ndarray, a: Alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fannes_bounds` of distances and k already checked."""
     kf = ks.astype(float)
     x0 = entropy_term_argmax(a)
     threshold = np.full(kf.shape, x0) if a.value <= 2.0 else np.minimum(x0, (kf + 1.0) / (kf + 2.0))
     inside = np.minimum(eps, 1.0)
-    rhs = inside ** a.value * q_log(kf + 1.0, a) + entropy_term(inside, a)
+    term = entropy_term(inside, a)
+    rhs = inside ** a.value * q_log(kf + 1.0, a) + term
     if a.value > 2.0:
-        rhs = rhs + binary_entropy(inside, a)
+        rhs = rhs + (term + entropy_term(1.0 - inside, a))  # binary_entropy(inside)
     rhs = np.where(eps > 1.0, np.nan, rhs)
     threshold = np.broadcast_to(threshold, rhs.shape)
     return rhs, threshold, eps <= threshold
@@ -161,7 +172,7 @@ def fannes_bounds(epsilon, ks, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray
     epsilon exceeds the threshold (``applicable`` False); past eps = 1 the
     entropy terms leave their domain and the rhs is NaN.
     """
-    return _fannes(epsilon, ks, as_alpha(alpha))
+    return _fannes(*_checked(epsilon, ks), as_alpha(alpha))
 
 
 def fannes_bound(epsilon: float, k: int, alpha: AlphaLike) -> BoundValue:
@@ -169,7 +180,7 @@ def fannes_bound(epsilon: float, k: int, alpha: AlphaLike) -> BoundValue:
     :func:`fannes_bounds`). ``regime`` is "low_alpha" for orders in (0, 2]
     and "high_alpha" above 2."""
     a = as_alpha(alpha)
-    rhs, threshold, applicable = _fannes(epsilon, k, a)
+    rhs, threshold, applicable = _fannes(*_checked(epsilon, k), a)
     return BoundValue(rhs=float(rhs), regime=_regime(a), applicable=bool(applicable),
                       threshold=float(threshold))
 
@@ -208,6 +219,7 @@ def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None)
     shape = np.broadcast_shapes(eps.shape, sums.shape[1:])
     lhs = np.broadcast_to(np.abs(sums[0] - sums[1]), shape)
     eps = np.broadcast_to(eps, shape)
+    _check_distances(eps)
     ks = np.arange(1, lhs.shape[-1] + 1)
     per_order = [_fannes(eps[..., i, :], ks, a) for i, a in enumerate(alphas)]
     rhs, threshold, applicable = (np.stack(col, axis=-2) for col in zip(*per_order))
@@ -322,7 +334,8 @@ def _two_group(k: int, a: Alpha, eps: float, t: np.ndarray):
     r = np.where(j < k, eps - t, 0.0)
     top = np.minimum(1.0, 1.0 + t - r)
     u, low, up = top / j, (top - t) / j, r / np.maximum(k - j, 1.0)
-    gap = j * (entropy_term(low, a) - entropy_term(u, a)) + (k - j) * entropy_term(up, a)
+    f_low, f_u, f_up = entropy_term(np.stack([low, u, up]), a)
+    gap = j * (f_low - f_u) + (k - j) * f_up
     return u, low, gap
 
 

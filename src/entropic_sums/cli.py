@@ -44,7 +44,7 @@ from .quantum import (
     schmidt_pure_state,
     spectra,
 )
-from .serialize import fmt_column, load_instance
+from .serialize import fmt_column, json_column, load_instance
 
 
 class ReportRow(NamedTuple):
@@ -488,25 +488,30 @@ def _build_parser() -> _Parser:
 
 
 def _write(batch: Batch, fmt: str, fh) -> bool:
-    """Write ``batch`` to ``fh`` a chunk at a time, CSV rows by one ``%`` format
-    per chunk into a template of each cell's fixed fields; True if any
-    applicable check among the written cells is violated."""
-    violated = False
-    if fmt == "csv":
+    """Write ``batch`` to ``fh`` a chunk at a time: each cell's fixed fields are
+    baked into a row template once, and each chunk's rows come from one ``%``
+    format of the template with its columns' texts (CSV floats by ``%.17g``
+    straight from the arrays); True if any applicable check among the written
+    cells is violated. The format sets only the row frame (CSV fields, or a
+    JSON object with each field's key) and the column-to-text rule."""
+    as_json = fmt == "json"
+    text = json_column if as_json else fmt_column
+    keys = [json.dumps(name) + ": " if as_json else "" for name in ReportRow._fields]
+    sep, (opening, closing) = (", ", ("{", "}\n")) if as_json else (",", ("", "\n"))
+    if not as_json:
         fh.write(CSV_HEADER + "\n")
-        cell_texts = zip(*map(fmt_column, zip(*batch.cells)))
-        fixed = [(",".join(text[:4]).replace("%", "%%") + ",", "," + text[4].replace("%", "%%") + "\n")
-                 for text in cell_texts]
+    fixed = []
+    for texts in zip(*map(text, zip(*batch.cells))):
+        fields = [key + value for key, value in zip(keys[:4] + keys[10:], texts)]
+        fixed.append(((opening + sep.join(fields[:4]) + sep).replace("%", "%%"),
+                      (sep + fields[4] + closing).replace("%", "%%")))
+    violated = False
     for chunk in batch.chunks:
         columns = _columns(chunk)
         violated = violated or (True, False) in zip(columns[3], columns[4])  # (applicable, satisfied)
-        if fmt == "json":
-            rows = _batch_rows(batch.cells, columns)
-            fh.write("".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows))
-            continue
-        floats = [isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
-        middle = ",".join("%.17g" if f else "%s" for f in floats)
-        texts = [column if f else fmt_column(column) for f, column in zip(floats, columns)]
+        raw = [not as_json and isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
+        middle = sep.join(key + ("%.17g" if r else "%s") for key, r in zip(keys[4:10], raw))
+        texts = [column if r else text(column) for r, column in zip(raw, columns)]
         trial = "".join(head + middle + tail for head, tail in fixed)
         fh.write((trial * (len(columns[0]) // max(len(fixed), 1))) % tuple(chain.from_iterable(zip(*texts))))
     return violated

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -92,3 +93,20 @@ def fmt_column(cells) -> list[str]:
     if kinds <= {str, int}:
         return list(map(str, cells))
     return list(map(fmt_cell, cells))
+
+
+def json_column(cells) -> list[str]:
+    """JSON texts of the cells of one column, equal to ``map(json.dumps, cells)``.
+
+    A column with no string is one ``json.dumps`` of the whole column, split
+    at the item separator: the encoder writes each item as it writes a lone
+    value, and no token but a string can hold ", ". A column of strings goes
+    through the encoder's own string rule; any other column with a string
+    falls back to one ``json.dumps`` per cell.
+    """
+    kinds = set(map(type, cells))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, cells))
+    if any(issubclass(kind, str) for kind in kinds):
+        return list(map(json.dumps, cells))
+    return json.dumps(list(cells))[1:-1].split(", ") if kinds else []

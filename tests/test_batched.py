@@ -151,6 +151,30 @@ class TestFannesBounds:
         with pytest.raises(ValueError):
             fannes_bounds(0.1, [1, 0], 1.0)
 
+    def test_pair_checks_bounds_equal_fannes_bounds_bit_for_bit(self):
+        alphas = [0.3, 1.0, 2.0, 2.5, 7.0]
+        m = 5
+        ks = np.arange(1, m + 1)
+        # distances at 0, at every order's threshold, past 1, and in between
+        rows = [np.zeros(m), np.full(m, 1.3), np.linspace(0.01, 0.99, m)]
+        rows += [fannes_bounds(0.0, ks, alpha)[1] for alpha in alphas]
+        distances = np.array(rows)
+        rng = np.random.default_rng(8)
+        values = simplex_points(rng.exponential(size=(2, len(rows), m)))
+        table = pair_checks(*values, distances, alphas)
+        for i, alpha in enumerate(alphas):
+            expected = fannes_bounds(distances, ks, alpha)
+            for name, column in zip(("rhs", "threshold", "applicable"), expected):
+                assert getattr(table, name)[:, i].tobytes() == np.ascontiguousarray(column).tobytes()
+        assert table.applicable[3 + np.arange(len(alphas)), np.arange(len(alphas))].all()
+        assert np.isnan(table.rhs[1]).all()
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan])
+    def test_pair_checks_rejects_a_negative_or_nan_distance(self, bad):
+        p = np.array([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real"):
+            pair_checks(p, p, [0.0, bad, 0.0], [0.5, 2.5])
+
 
 def spectrum(rho):
     vals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, 1.0)
@@ -381,3 +405,28 @@ class TestCallCountGuards:
                 monkeypatch.setattr(mod, "partial_sums", counted)
         assert cli_main(["check", *files, "--alpha", "0.5,2", "--out", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == 1
+
+    def test_json_check_makes_as_many_dumps_calls_at_every_size(self, tmp_path, monkeypatch):
+        # JSON text comes from one json.dumps per column, not one per row
+        rng = np.random.default_rng(4)
+        dumps, calls = json.dumps, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dumps(*args, **kwargs)
+
+        def count(m):
+            files = []
+            for name in ("p", "q"):
+                path = tmp_path / f"{name}{m}.json"
+                path.write_text(json.dumps({"kind": "prob_vector", "values": simplex_points(rng.exponential(size=m)).tolist()}))
+                files.append(str(path))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "dumps", counted)
+                assert cli_main(["check", *files, "--alpha", "0.5,1,3", "--format", "json",
+                                 "--out", str(tmp_path / "out.json")]) == 0
+            assert len((tmp_path / "out.json").read_text().splitlines()) == 3 * m
+            return len(calls)
+
+        assert count(4) == count(64) > 0

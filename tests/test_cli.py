@@ -796,7 +796,7 @@ CELLS = {
     "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)),
     "flag": st.sampled_from([True, False, None]),
     "int": st.integers(),
-    "str": st.text(max_size=8),
+    "str": st.one_of(st.text(max_size=8), st.sampled_from(["a, b", "%s", "100%", '"q"', "\u00e9\n"])),
 }
 CELLS["mixed"] = st.one_of(*CELLS.values())
 
@@ -819,4 +819,12 @@ class TestColumnWriter:
         cli._write(cli._rows_batch(rows), "csv", buf)
         expected = "".join(line + "\n" for line in
                            [CSV_HEADER] + [",".join(map(fmt_cell, row)) for row in rows])
+        assert buf.getvalue() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_rows())
+    def test_json_matches_json_dumps_per_row(self, rows):
+        buf = io.StringIO()
+        cli._write(cli._rows_batch(rows), "json", buf)
+        expected = "".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows)
         assert buf.getvalue() == expected
