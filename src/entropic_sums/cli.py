@@ -44,7 +44,7 @@ from .quantum import (
     schmidt_pure_state,
     spectra,
 )
-from .serialize import fmt_column, json_column, load_instance
+from .serialize import fmt_column, json_columns, load_instance
 
 
 class ReportRow(NamedTuple):
@@ -487,33 +487,42 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: The row frame of each format: what precedes each field's value (nothing in
+#: CSV, the key in a JSON object), the field separator, and what opens and
+#: closes a row.
+_FRAMES = {"csv": ([""] * len(ReportRow._fields), ",", "", "\n"),
+           "json": ([json.dumps(name) + ": " for name in ReportRow._fields], ", ", "{", "}\n")}
+
+
 def _write(batch: Batch, fmt: str, fh) -> bool:
-    """Write ``batch`` to ``fh`` a chunk at a time: each cell's fixed fields are
-    baked into a row template once, and each chunk's rows come from one ``%``
-    format of the template with its columns' texts (CSV floats by ``%.17g``
-    straight from the arrays); True if any applicable check among the written
-    cells is violated. The format sets only the row frame (CSV fields, or a
-    JSON object with each field's key) and the column-to-text rule."""
-    as_json = fmt == "json"
-    text = json_column if as_json else fmt_column
-    keys = [json.dumps(name) + ": " if as_json else "" for name in ReportRow._fields]
-    sep, (opening, closing) = (", ", ("{", "}\n")) if as_json else (",", ("", "\n"))
-    if not as_json:
+    """Write ``batch`` to ``fh`` a chunk at a time; True if any applicable check
+    among the written cells is violated.
+
+    The texts of each cell's fixed fields are made once. Per chunk, one ``%``
+    format bakes them into a template of one trial's rows, and one more fills
+    it with the chunk's columns: their texts, or CSV floats by ``%.17g``
+    straight from the arrays. The format sets only the row frame and the
+    column-to-text rule: :func:`json_columns`, or :func:`fmt_column` per column.
+    """
+    keys, sep, opening, closing = _FRAMES[fmt]
+    if fmt == "json":
+        texts_of = json_columns
+    else:
+        texts_of = lambda columns: list(map(fmt_column, columns))  # noqa: E731
         fh.write(CSV_HEADER + "\n")
-    fixed = []
-    for texts in zip(*map(text, zip(*batch.cells))):
-        fields = [key + value for key, value in zip(keys[:4] + keys[10:], texts)]
-        fixed.append(((opening + sep.join(fields[:4]) + sep).replace("%", "%%"),
-                      (sep + fields[4] + closing).replace("%", "%%")))
+    fixed = tuple(chain.from_iterable(zip(*texts_of(list(zip(*batch.cells))))))
+    if "%" in "".join(fixed):  # the baked template is a format string itself
+        fixed = tuple(text.replace("%", "%%") for text in fixed)
     violated = False
     for chunk in batch.chunks:
         columns = _columns(chunk)
         violated = violated or (True, False) in zip(columns[3], columns[4])  # (applicable, satisfied)
-        raw = [not as_json and isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
-        middle = sep.join(key + ("%.17g" if r else "%s") for key, r in zip(keys[4:10], raw))
-        texts = [column if r else text(column) for r, column in zip(raw, columns)]
-        trial = "".join(head + middle + tail for head, tail in fixed)
-        fh.write((trial * (len(columns[0]) // max(len(fixed), 1))) % tuple(chain.from_iterable(zip(*texts))))
+        raw = [fmt == "csv" and isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
+        slots = ["%s"] * 4 + ["%%.17g" if r else "%%s" for r in raw] + ["%s"]
+        trial = ((opening + sep.join(map(str.__add__, keys, slots)) + closing) * len(batch.cells)) % fixed
+        texts = iter(texts_of([column for r, column in zip(raw, columns) if not r]))
+        values = [column if r else next(texts) for r, column in zip(raw, columns)]
+        fh.write((trial * (len(columns[0]) // max(len(batch.cells), 1))) % tuple(chain.from_iterable(zip(*values))))
     return violated
 
 

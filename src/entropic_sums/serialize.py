@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -95,18 +96,26 @@ def fmt_column(cells) -> list[str]:
     return list(map(fmt_cell, cells))
 
 
-def json_column(cells) -> list[str]:
-    """JSON texts of the cells of one column, equal to ``map(json.dumps, cells)``.
 
-    A column with no string is one ``json.dumps`` of the whole column, split
-    at the item separator: the encoder writes each item as it writes a lone
-    value, and no token but a string can hold ", ". A column of strings goes
-    through the encoder's own string rule; any other column with a string
-    falls back to one ``json.dumps`` per cell.
+
+def json_columns(columns) -> list[list[str]]:
+    """JSON texts of the cells of each column, equal to ``map(json.dumps, column)``.
+
+    The cells of every column that holds no string are encoded by one
+    ``json.dumps`` of them all, split at the item separator: the encoder
+    writes each item of a list as it writes a lone value, and no token but a
+    string can hold ", ". A column of strings goes through the encoder's own
+    string rule; any other column that holds a string falls back to one
+    ``json.dumps`` per cell.
     """
-    kinds = set(map(type, cells))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, cells))
-    if any(issubclass(kind, str) for kind in kinds):
-        return list(map(json.dumps, cells))
-    return json.dumps(list(cells))[1:-1].split(", ") if kinds else []
+    strings = {kind for kind in set(map(type, chain.from_iterable(columns))) if issubclass(kind, str)}
+    texts = [None] * len(columns)
+    for i, column in enumerate(columns if strings else ()):
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            texts[i] = list(map(encode_basestring_ascii, column))
+        elif not kinds.isdisjoint(strings):
+            texts[i] = list(map(json.dumps, column))
+    plain = list(chain.from_iterable(column for column, text in zip(columns, texts) if text is None))
+    split = iter(json.dumps(plain)[1:-1].split(", ") if plain else ())
+    return [list(islice(split, len(column))) if text is None else text for column, text in zip(columns, texts)]
