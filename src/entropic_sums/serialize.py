@@ -96,8 +96,6 @@ def fmt_column(cells) -> list[str]:
     return list(map(fmt_cell, cells))
 
 
-
-
 def json_columns(columns) -> list[list[str]]:
     """JSON texts of the cells of each column, equal to ``map(json.dumps, column)``.
 

@@ -47,7 +47,10 @@ def _parse_args(argv):
     ap.add_argument("--workload", choices=("sweep", "pairs", "search"), default="pairs")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=30)
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    return args
 
 
 def _export(rev: str, dest: str) -> str:
