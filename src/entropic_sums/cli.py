@@ -44,7 +44,7 @@ from .quantum import (
     schmidt_pure_state,
     spectra,
 )
-from .serialize import fmt_column, json_columns, load_instance
+from .serialize import fmt_column, json_column, load_instance
 
 
 class ReportRow(NamedTuple):
@@ -502,17 +502,15 @@ def _write(batch: Batch, fmt: str, fh) -> bool:
     format bakes them into a template of one trial's rows, and one more fills
     it with the chunk's columns: their texts, or CSV floats by ``%.17g``
     straight from the arrays. The format sets only the row frame and the
-    column-to-text rule: :func:`json_columns`, or :func:`fmt_column` per column.
+    column-to-text rule, :func:`json_column` or :func:`fmt_column`.
     """
     keys, sep, opening, closing = _FRAMES[fmt]
-    if fmt == "json":
-        texts_of = json_columns
-    else:
-        texts_of = lambda columns: list(map(fmt_column, columns))  # noqa: E731
+    text = json_column if fmt == "json" else fmt_column
+    if fmt == "csv":
         fh.write(CSV_HEADER + "\n")
-    fixed = tuple(chain.from_iterable(zip(*texts_of(list(zip(*batch.cells))))))
+    fixed = tuple(chain.from_iterable(zip(*map(text, zip(*batch.cells)))))
     if "%" in "".join(fixed):  # the baked template is a format string itself
-        fixed = tuple(text.replace("%", "%%") for text in fixed)
+        fixed = tuple(value.replace("%", "%%") for value in fixed)
     violated = False
     for chunk in batch.chunks:
         columns = _columns(chunk)
@@ -520,8 +518,7 @@ def _write(batch: Batch, fmt: str, fh) -> bool:
         raw = [fmt == "csv" and isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
         slots = ["%s"] * 4 + ["%%.17g" if r else "%%s" for r in raw] + ["%s"]
         trial = ((opening + sep.join(map(str.__add__, keys, slots)) + closing) * len(batch.cells)) % fixed
-        texts = iter(texts_of([column for r, column in zip(raw, columns) if not r]))
-        values = [column if r else next(texts) for r, column in zip(raw, columns)]
+        values = [column if r else text(column) for r, column in zip(raw, columns)]
         fh.write((trial * (len(columns[0]) // max(len(batch.cells), 1))) % tuple(chain.from_iterable(zip(*values))))
     return violated
 

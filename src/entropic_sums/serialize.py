@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -96,24 +95,23 @@ def fmt_column(cells) -> list[str]:
     return list(map(fmt_cell, cells))
 
 
-def json_columns(columns) -> list[list[str]]:
-    """JSON texts of the cells of each column, equal to ``map(json.dumps, column)``.
+#: Types whose JSON tokens never hold the item separator ", ".
+_SPLITTABLE = {float, int, bool, type(None)}
 
-    The cells of every column that holds no string are encoded by one
-    ``json.dumps`` of them all, split at the item separator: the encoder
-    writes each item of a list as it writes a lone value, and no token but a
-    string can hold ", ". A column of strings goes through the encoder's own
-    string rule; any other column that holds a string falls back to one
-    ``json.dumps`` per cell.
+
+def json_column(cells) -> list[str]:
+    """JSON texts of the cells of one column, equal to ``map(json.dumps, cells)``.
+
+    A column of numbers, booleans and None is one ``json.dumps`` of the whole
+    column, split at the item separator: the encoder writes each item of a
+    list as it writes a lone value (``float.__repr__``, ``NaN``, ``Infinity``,
+    ``null``, ``true``, ints), and none of those tokens holds ", ". A column
+    of strings goes through the encoder's own string rule; any other column
+    falls back to one ``json.dumps`` per cell.
     """
-    strings = {kind for kind in set(map(type, chain.from_iterable(columns))) if issubclass(kind, str)}
-    texts = [None] * len(columns)
-    for i, column in enumerate(columns if strings else ()):
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            texts[i] = list(map(encode_basestring_ascii, column))
-        elif not kinds.isdisjoint(strings):
-            texts[i] = list(map(json.dumps, column))
-    plain = list(chain.from_iterable(column for column, text in zip(columns, texts) if text is None))
-    split = iter(json.dumps(plain)[1:-1].split(", ") if plain else ())
-    return [list(islice(split, len(column))) if text is None else text for column, text in zip(columns, texts)]
+    kinds = set(map(type, cells))
+    if kinds <= _SPLITTABLE:
+        return json.dumps(list(cells))[1:-1].split(", ") if kinds else []
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, cells))
+    return list(map(json.dumps, cells))

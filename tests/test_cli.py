@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import entropic_sums.cli as cli
 from entropic_sums import RunConfig, bounds, cli_main, max_partial_sum, run_sweep
 from entropic_sums.cli import CSV_HEADER, ReportRow
-from entropic_sums.serialize import fmt_cell
+from entropic_sums.serialize import fmt_cell, json_column
 
 #: Values of ENTROPIC_SUMS_TOL that every command must reject with exit 1.
 NON_FINITE_TOLS = ["nan", "inf", "-inf", "abc"]
@@ -828,3 +828,7 @@ class TestColumnWriter:
         cli._write(cli._rows_batch(rows), "json", buf)
         expected = "".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows)
         assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("column", [[[1.5, 2], -0.0], [(3, "a, b")], [{"k": [1, 2]}, None], ["x, y", 7], []])
+    def test_json_column_of_containers_matches_json_dumps(self, column):
+        assert json_column(column) == list(map(json.dumps, column))
