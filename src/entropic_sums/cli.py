@@ -518,9 +518,10 @@ def _write(batch: Batch, fmt: str, fh) -> bool:
         raw = [fmt == "csv" and isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
         slots = ["%s"] * 4 + ["%%.17g" if r else "%%s" for r in raw] + ["%s"]
         trial = ((opening + sep.join(map(str.__add__, keys, slots)) + closing) * len(batch.cells)) % fixed
-        # the texts are not named, so no two chunks' texts are alive at once
-        fh.write((trial * (len(columns[0]) // max(len(batch.cells), 1)))
-                 % tuple(chain.from_iterable(zip(*[column if r else text(column) for r, column in zip(raw, columns)]))))
+        texts = [column if r else text(column) for r, column in zip(raw, columns)]
+        trials = len(columns[0]) // max(len(batch.cells), 1)
+        fh.write((trial * trials) % tuple(chain.from_iterable(zip(*texts))))
+        del texts  # no two chunks' texts are alive at once
     return violated
 
 

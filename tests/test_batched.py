@@ -419,7 +419,8 @@ class TestCallCountGuards:
             files = []
             for name in ("p", "q"):
                 path = tmp_path / f"{name}{m}.json"
-                path.write_text(json.dumps({"kind": "prob_vector", "values": simplex_points(rng.exponential(size=m)).tolist()}))
+                values = simplex_points(rng.exponential(size=m)).tolist()
+                path.write_text(json.dumps({"kind": "prob_vector", "values": values}))
                 files.append(str(path))
             calls.clear()
             with monkeypatch.context() as patch:
