@@ -95,7 +95,6 @@ class AdversarialResult:
     bound_rhs: float
     tightness: float
     iterations: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,7 @@ def _two_group(k: int, a: Alpha, eps: float, t: np.ndarray):
     return u, low, gap
 
 
-def adversarial_search(k: int, alpha: AlphaLike, epsilon: float, seed: int = 0,
+def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
                        tol: float | None = None) -> AdversarialResult:
     """Largest entropy-sum gap within distance epsilon, and a pair attaining it.
 
@@ -383,10 +382,9 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float, seed: int = 0,
     ``achieved``, the :func:`entropy_sum_diff` gap of a feasible pair, never
     exceeds the supremum.
 
-    ``iterations`` counts the pairs evaluated; ``seed`` is only echoed. Raises
-    ValueError when epsilon is past the bound's threshold, and
-    :class:`BoundViolationError` (witness attached) if the gap exceeds the
-    bound by more than the absolute tolerance.
+    ``iterations`` counts the pairs evaluated. Raises ValueError when epsilon
+    is past the bound's threshold, and :class:`BoundViolationError` (witness
+    attached) if the gap exceeds the bound by more than the absolute tolerance.
     """
     a = as_alpha(alpha)
     bound = fannes_bound(epsilon, k, a)
@@ -414,8 +412,7 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float, seed: int = 0,
         raise RuntimeError("the two-group pair is infeasible")
     tightness = achieved / bound.rhs if bound.rhs > 0.0 else 0.0
     result = AdversarialResult(x=x, y=y, achieved=achieved, bound_rhs=bound.rhs,
-                               tightness=tightness, iterations=_ROUNDS * k * _GRID + 1,
-                               seed=int(seed))
+                               tightness=tightness, iterations=_ROUNDS * k * _GRID + 1)
     if achieved > bound.rhs + check_tolerance(tol):
         raise BoundViolationError(
             f"pair achieved {achieved} above the bound {bound.rhs} "

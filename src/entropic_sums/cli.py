@@ -14,7 +14,7 @@ import json
 import numbers
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, cycle
 from typing import NamedTuple
@@ -109,11 +109,10 @@ class Batch(NamedTuple):
     """Output cells by column, rows trial-major: ``cells`` holds the fields that
     repeat in every trial (experiment, alpha, k, dim, seed), one tuple per cell
     of one trial; ``chunks`` yields, per run of trials, the six fields from
-    epsilon to margin, each an array of shape (trials, len(cells)) or, for
-    rows built one at a time, a sequence of one value per row."""
+    epsilon to margin, each a flat sequence of one value per row."""
 
     cells: list[tuple]
-    chunks: Iterable[tuple[np.ndarray, ...]]
+    chunks: Iterable[tuple[Sequence, ...]]
 
 
 _VARYING = ReportRow._fields[4:10]
@@ -123,13 +122,13 @@ _VARYING = ReportRow._fields[4:10]
 SWEEP_CHUNK = 64
 
 
-def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[np.ndarray, ...]:
+def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[list, ...]:
     """The varying fields of the cells at flat ``index`` within each trial's
     part of ``table``; a verdict is kept only where the check applies."""
     index = np.asarray(index)
     eps, lhs, rhs, app, sat, margin = (getattr(table, name).reshape(trials, -1).take(index, axis=1)
                                        for name in _VARYING)
-    return eps, lhs, rhs, app, np.where(app, sat, None), margin
+    return tuple(column.ravel().tolist() for column in (eps, lhs, rhs, app, np.where(app, sat, None), margin))
 
 
 def _rows_batch(rows: list[ReportRow]) -> Batch:
@@ -138,15 +137,10 @@ def _rows_batch(rows: list[ReportRow]) -> Batch:
     return Batch([row[:4] + row[10:] for row in rows], [tuple(columns)])
 
 
-def _columns(chunk: tuple) -> list:
-    """The varying fields of one chunk as flat sequences, rows trial-major."""
-    return [column.ravel().tolist() if isinstance(column, np.ndarray) else column for column in chunk]
-
-
-def _batch_rows(cells: list[tuple], columns: list[list]) -> list[tuple]:
-    """The rows of one chunk of a batch, from its :func:`_columns`, as tuples
-    in the field order of :class:`ReportRow`."""
-    return [cell[:4] + values + cell[4:] for cell, values in zip(cycle(cells), zip(*columns))]
+def _batch_rows(cells: list[tuple], chunk: tuple) -> list[tuple]:
+    """The rows of one chunk of a batch as tuples in the field order of
+    :class:`ReportRow`."""
+    return [cell[:4] + values + cell[4:] for cell, values in zip(cycle(cells), zip(*chunk))]
 
 
 def _sweep_batch(config: RunConfig) -> Batch:
@@ -205,7 +199,7 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
     validated per ``dims`` entry as one stack and checked in one table.
     """
     batch = _sweep_batch(config)
-    rows = (row for chunk in batch.chunks for row in _batch_rows(batch.cells, _columns(chunk)))
+    rows = (row for chunk in batch.chunks for row in _batch_rows(batch.cells, chunk))
     return list(map(ReportRow._make, rows))
 
 
@@ -316,7 +310,7 @@ def _cmd_sweep(args) -> Batch:
 def _cmd_adversarial(args) -> Batch:
     rows: list[ReportRow] = []
     tol = bounds.check_tolerance()
-    ks = args.k if isinstance(args.k, list) else [1, 2]
+    ks = args.k or [1, 2]
     for alpha in args.alpha or [1.0]:
         for k in ks:
             for eps in args.eps or [0.1]:
@@ -327,7 +321,7 @@ def _cmd_adversarial(args) -> Batch:
                     continue
                 satisfied = True
                 try:
-                    res = bounds.adversarial_search(k, alpha, eps, seed=args.seed, tol=tol)
+                    res = bounds.adversarial_search(k, alpha, eps, tol=tol)
                 except bounds.BoundViolationError as exc:
                     print(f"bound violation: {exc}", file=sys.stderr)
                     res, satisfied = exc.witness, False
@@ -498,29 +492,27 @@ def _write(batch: Batch, fmt: str, fh) -> bool:
     """Write ``batch`` to ``fh`` a chunk at a time; True if any applicable check
     among the written cells is violated.
 
-    The texts of each cell's fixed fields are made once. Per chunk, one ``%``
-    format bakes them into a template of one trial's rows, and one more fills
-    it with the chunk's columns: their texts, or CSV floats by ``%.17g``
-    straight from the arrays. The format sets only the row frame and the
-    column-to-text rule, :func:`json_column` or :func:`fmt_column`.
+    The texts of the fixed fields are made once per batch. Per chunk, each is
+    repeated once per trial, the six varying columns are rendered, and one
+    ``%`` fills the row frame, repeated once per row, with every column. The
+    format sets only the row frame and the column rule, :func:`json_column` or
+    :func:`fmt_column`; in CSV a column that holds only floats fills a
+    ``%.17g`` slot with its values as they are.
     """
     keys, sep, opening, closing = _FRAMES[fmt]
     text = json_column if fmt == "json" else fmt_column
     if fmt == "csv":
         fh.write(CSV_HEADER + "\n")
-    fixed = tuple(chain.from_iterable(zip(*map(text, zip(*batch.cells)))))
-    if "%" in "".join(fixed):  # the baked template is a format string itself
-        fixed = tuple(value.replace("%", "%%") for value in fixed)
+    fixed = [text(column) for column in zip(*batch.cells)]
     violated = False
     for chunk in batch.chunks:
-        columns = _columns(chunk)
-        violated = violated or (True, False) in zip(columns[3], columns[4])  # (applicable, satisfied)
-        raw = [fmt == "csv" and isinstance(column, np.ndarray) and column.dtype == float for column in chunk]
-        slots = ["%s"] * 4 + ["%%.17g" if r else "%%s" for r in raw] + ["%s"]
-        trial = ((opening + sep.join(map(str.__add__, keys, slots)) + closing) * len(batch.cells)) % fixed
-        texts = [column if r else text(column) for r, column in zip(raw, columns)]
-        trials = len(columns[0]) // max(len(batch.cells), 1)
-        fh.write((trial * trials) % tuple(chain.from_iterable(zip(*texts))))
+        violated = violated or (True, False) in zip(chunk[3], chunk[4])  # (applicable, satisfied)
+        raw = [fmt == "csv" and all(map(float.__instancecheck__, column)) for column in chunk]
+        slots = ["%s"] * 4 + ["%.17g" if r else "%s" for r in raw] + ["%s"]
+        row = opening + sep.join(map(str.__add__, keys, slots)) + closing
+        texts = [column * (len(chunk[0]) // len(batch.cells)) for column in fixed]
+        texts[4:4] = [column if r else text(column) for r, column in zip(raw, chunk)]
+        fh.write((row * len(chunk[0])) % tuple(chain.from_iterable(zip(*texts))))
         del texts  # no two chunks' texts are alive at once
     return violated
 

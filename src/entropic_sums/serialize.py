@@ -82,14 +82,11 @@ _FLAG_TEXT = {True: "true", False: "false", None: ""}
 
 
 def fmt_column(cells) -> list[str]:
-    """CSV cells of one column, equal to ``map(fmt_cell, cells)``; a column
-    whose cells share a type is rendered by one rule for the whole column."""
+    """CSV cells of one column, equal to ``map(fmt_cell, cells)``; a column of
+    flags or of strings and ints is rendered by one rule for the whole column."""
     kinds = set(map(type, cells))
-    if kinds == {float}:
-        # "%.17g" gives format(v, ".17g") for every float: nan, inf and -0 too
-        return ("\n".join(["%.17g"] * len(cells)) % tuple(cells)).split("\n")
     if kinds <= {bool, type(None)}:
-        return [_FLAG_TEXT[cell] for cell in cells]
+        return list(map(_FLAG_TEXT.__getitem__, cells))
     if kinds <= {str, int}:
         return list(map(str, cells))
     return list(map(fmt_cell, cells))

@@ -337,14 +337,14 @@ class TestStability:
 
 class TestAdversarialSearch:
     def test_zero_epsilon(self):
-        res = adversarial_search(2, 1.0, 0.0, seed=1)
+        res = adversarial_search(2, 1.0, 0.0)
         assert res.achieved == 0.0
         assert res.tightness == 0.0
 
     def test_known_witness_is_beaten(self):
         # moving one coordinate from the peak point down by 0.1 is feasible,
         # so the search must achieve at least that gap
-        res = adversarial_search(1, 1.0, 0.1, seed=2)
+        res = adversarial_search(1, 1.0, 0.1)
         witness = 0.015023753516670099
         assert res.achieved >= witness - 1e-12
         assert res.achieved == pytest.approx(0.23025850929940457, abs=1e-6)
@@ -355,7 +355,8 @@ class TestAdversarialSearch:
             k = int(rng.integers(1, 5))
             a = rng.uniform(0.3, 4.0)
             eps = min(0.9, 0.8 * fannes_bound(0.0, k, a).threshold)
-            res = adversarial_search(k, a, eps, seed=int(rng.integers(1000)))
+            rng.integers(1000)  # one spare draw per instance keeps the ten instances this test pins
+            res = adversarial_search(k, a, eps)
             assert np.all(res.x >= 0.0) and np.all(res.y >= 0.0)
             assert res.x.sum() <= 1.0 + 1e-12
             assert res.y.sum() <= 1.0 + 1e-12
@@ -366,18 +367,18 @@ class TestAdversarialSearch:
         for k in (1, 2):
             for a in (0.7, 1.0, 2.5):
                 eps = 0.5 * fannes_bound(0.0, k, a).threshold
-                res = adversarial_search(k, a, eps, seed=7)
+                res = adversarial_search(k, a, eps)
                 assert res.tightness < 1.0
 
     def test_deterministic_given_seed(self):
-        r1 = adversarial_search(2, 1.5, 0.1, seed=11)
-        r2 = adversarial_search(2, 1.5, 0.1, seed=11)
+        r1 = adversarial_search(2, 1.5, 0.1)
+        r2 = adversarial_search(2, 1.5, 0.1)
         assert r1.achieved == r2.achieved
         assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.y, r2.y)
 
     def test_infeasible_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            adversarial_search(1, 3.0, 0.9, seed=0)
+            adversarial_search(1, 3.0, 0.9)
 
     def test_tiny_epsilon_is_not_a_violation(self):
         # the bound is tight to O(eps) here; the raised mass is what the rounded
@@ -389,7 +390,7 @@ class TestAdversarialSearch:
 
     def test_violation_path_raises_with_witness(self):
         with pytest.raises(BoundViolationError) as exc_info:
-            adversarial_search(1, 1.0, 0.1, seed=3, tol=-1.0)
+            adversarial_search(1, 1.0, 0.1, tol=-1.0)
         witness = exc_info.value.witness
         assert witness is not None
         assert witness.achieved > 0.0
@@ -509,8 +510,7 @@ class TestExactSupremum:
         eps = frac * fannes_bound(0.0, k, a).threshold
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = adversarial_search(k, a, eps, seed=seed)
-        assert res.seed == seed
+            res = adversarial_search(k, a, eps)
         assert bounds._pair_residual(res.x, res.y, eps) <= bounds.FEASIBILITY_TOL
         assert res.achieved == abs(entropy_sum_diff(res.x, res.y, a))
         assert res.tightness <= 1.0 + 1e-9

@@ -757,7 +757,7 @@ class TestCrossFormat:
         def keep(batch, fmt, fh):
             batch = cli.Batch(batch.cells, list(batch.chunks))
             for chunk in batch.chunks:
-                written.extend(cli._batch_rows(batch.cells, cli._columns(chunk)))
+                written.extend(cli._batch_rows(batch.cells, chunk))
             return write(batch, fmt, fh)
 
         monkeypatch.setattr(cli, "_write", keep)
@@ -828,6 +828,25 @@ class TestColumnWriter:
         cli._write(cli._rows_batch(rows), "json", buf)
         expected = "".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows)
         assert buf.getvalue() == expected
+
+    def test_chunks_of_several_trials_match_the_per_row_references(self):
+        # fixed fields holding "%", a comma, a non-ASCII string, -0.0 and NaN
+        # are repeated in every trial; epsilon, rhs and margin hold only floats
+        cells = [("100%", -0.0, 1, 2, "%s"), ("a, b", math.nan, 2, 2, "\u00e9"), ("x", 0.5, None, 3, 7)]
+
+        def chunk(trials):
+            n = trials * len(cells)
+            return ([0.1 * i for i in range(n)], [None] * n, [-0.0, 1e-300, math.inf] * trials,
+                    [True, False, None] * trials, [False, None, True] * trials, [math.nan] + [1.5] * (n - 1))
+
+        chunks = [chunk(1), chunk(3)]
+        rows = [row for columns in chunks for row in cli._batch_rows(cells, columns)]
+        assert len(rows) == 12
+        for fmt, expected in (("csv", [CSV_HEADER] + [",".join(map(fmt_cell, row)) for row in rows]),
+                              ("json", [json.dumps(dict(zip(ReportRow._fields, row))) for row in rows])):
+            buf = io.StringIO()
+            assert cli._write(cli.Batch(cells, chunks), fmt, buf)  # applicable and not satisfied in row 1
+            assert buf.getvalue() == "".join(line + "\n" for line in expected)
 
     @pytest.mark.parametrize("column", [[[1.5, 2], -0.0], [(3, "a, b")], [{"k": [1, 2]}, None], ["x, y", 7], []])
     def test_json_column_of_containers_matches_json_dumps(self, column):

@@ -1,12 +1,15 @@
 """A/B timing of the package at a git revision against the working tree, in one process.
 
     python3 tools/ab.py REV [--workload {sweep,pairs,search}] [--seed N] [--rounds R]
+    python3 tools/ab.py REV --argv "sweep --trials 200 --format json" [--rounds R]
 
 Run from anywhere inside a source checkout. ``src/entropic_sums`` at REV is
 exported with ``git archive`` into a temporary directory and imported under
 one alias, the working tree's package under another (``src/`` uses only
 relative imports, so both load side by side). One round of ops is built with
-``bench/workloads.build``. Every op is run once on each side first, and the
+``bench/workloads.build``; with ``--argv`` the round is that one command line
+(an ``--out`` path in it is replaced by a file in the temporary directory,
+read as the op's output). Every op is run once on each side first, and the
 script fails (exit 1) if any op's output, stderr or exit code differs. Then
 the rounds run op by op, each op on both sides back to back, the side that
 goes first alternating between rounds, so slow drift of the machine falls on
@@ -28,6 +31,7 @@ import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import shlex  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -47,6 +51,7 @@ def _parse_args(argv):
     ap.add_argument("--workload", choices=("sweep", "pairs", "search"), default="pairs")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--argv", help="time this one command line in place of a workload round")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -101,7 +106,13 @@ def main(argv=None) -> int:
             return 1
         sides = {args.rev: _load("ab_rev", base),
                  "working tree": _load("ab_tree", os.path.join(ROOT, PACKAGE))}
-        ops = workloads.build(args.workload, args.seed, workdir)
+        if args.argv is None:
+            ops = workloads.build(args.workload, args.seed, workdir)
+        else:
+            argv, out = shlex.split(args.argv), None
+            if "--out" in argv[:-1]:
+                out = argv[argv.index("--out") + 1] = os.path.join(workdir, "out")
+            ops = [workloads.Op(args.argv, argv, None, out_path=out)]
         for op in ops:
             (code_a, _, out_a, err_a), (code_b, _, out_b, err_b) = (_run(cli, op) for cli in sides.values())
             if (code_a, out_a, err_a) != (code_b, out_b, err_b):
@@ -117,8 +128,8 @@ def main(argv=None) -> int:
             order.reverse()
     sums = {name: 1e3 * sum(map(statistics.median, per_op)) for name, per_op in times.items()}
     rev_ms, tree_ms = sums.values()
-    print(json.dumps({"rev": args.rev, "workload": args.workload, "seed": args.seed,
-                      "rounds": args.rounds, "ops": len(ops),
+    run = {"workload": args.workload, "seed": args.seed} if args.argv is None else {"argv": args.argv}
+    print(json.dumps({"rev": args.rev, **run, "rounds": args.rounds, "ops": len(ops),
                       "rev_ms": round(rev_ms, 3), "tree_ms": round(tree_ms, 3),
                       "ratio": round(rev_ms / tree_ms, 4)}))
     return 0
