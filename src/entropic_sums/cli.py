@@ -481,37 +481,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
-#: The row frame of each format: what precedes each field's value (nothing in
-#: CSV, the key in a JSON object), the field separator, and what opens and
-#: closes a row.
-_FRAMES = {"csv": ([""] * len(ReportRow._fields), ",", "", "\n"),
-           "json": ([json.dumps(name) + ": " for name in ReportRow._fields], ", ", "{", "}\n")}
+#: What each format sets: the text before its rows, the column-to-text rule,
+#: and the row frame (what precedes each field's value: nothing in CSV, the key
+#: in a JSON object; the field separator; what opens and closes a row).
+_FRAMES = {"csv": (CSV_HEADER + "\n", fmt_column, [""] * len(ReportRow._fields), ",", "", "\n"),
+           "json": ("", json_column, [json.dumps(name) + ": " for name in ReportRow._fields], ", ", "{", "}\n")}
 
 
 def _write(batch: Batch, fmt: str, fh) -> bool:
     """Write ``batch`` to ``fh`` a chunk at a time; True if any applicable check
     among the written cells is violated.
 
-    The texts of the fixed fields are made once per batch. Per chunk, each is
-    repeated once per trial, the six varying columns are rendered, and one
-    ``%`` fills the row frame, repeated once per row, with every column. The
-    format sets only the row frame and the column rule, :func:`json_column` or
-    :func:`fmt_column`; in CSV a column that holds only floats fills a
-    ``%.17g`` slot with its values as they are.
+    The fixed fields' texts are made once per batch by the format's column
+    rule, those of experiment to dim joined into one text per cell, as each
+    slot costs every row. Per chunk, each fixed text list is repeated once per
+    trial, the six varying columns are rendered, and one ``%`` fills the row
+    frame, repeated once per row, with every column. In CSV a column that
+    holds only floats fills a ``%.17g`` slot with its values as they are.
     """
-    keys, sep, opening, closing = _FRAMES[fmt]
-    text = json_column if fmt == "json" else fmt_column
-    if fmt == "csv":
-        fh.write(CSV_HEADER + "\n")
+    header, text, keys, sep, opening, closing = _FRAMES[fmt]
+    fh.write(header)
     fixed = [text(column) for column in zip(*batch.cells)]
+    head = sep.join(key + "%s" for key in keys[:4])
+    fixed[:4] = [[head % texts for texts in zip(*fixed[:4])]]
     violated = False
     for chunk in batch.chunks:
         violated = violated or (True, False) in zip(chunk[3], chunk[4])  # (applicable, satisfied)
         raw = [fmt == "csv" and all(map(float.__instancecheck__, column)) for column in chunk]
-        slots = ["%s"] * 4 + ["%.17g" if r else "%s" for r in raw] + ["%s"]
-        row = opening + sep.join(map(str.__add__, keys, slots)) + closing
-        texts = [column * (len(chunk[0]) // len(batch.cells)) for column in fixed]
-        texts[4:4] = [column if r else text(column) for r, column in zip(raw, chunk)]
+        slots = ["%.17g" if r else "%s" for r in raw] + ["%s"]
+        row = opening + sep.join(["%s", *map(str.__add__, keys[4:], slots)]) + closing
+        texts = [column * (len(chunk[0]) // max(len(batch.cells), 1)) for column in fixed]
+        texts[1:1] = [column if r else text(column) for r, column in zip(raw, chunk)]
         fh.write((row * len(chunk[0])) % tuple(chain.from_iterable(zip(*texts))))
         del texts  # no two chunks' texts are alive at once
     return violated
