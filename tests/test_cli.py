@@ -840,7 +840,8 @@ class TestColumnWriter:
                     [True, False, None] * trials, [False, None, True] * trials, [math.nan] + [1.5] * (n - 1))
 
         chunks = [chunk(1), chunk(3)]
-        rows = [row for columns in chunks for row in cli._batch_rows(cells, columns)]
+        rows = [cells[i % 3][:4] + tuple(column[i] for column in columns) + cells[i % 3][4:]
+                for columns in chunks for i in range(len(columns[0]))]
         assert len(rows) == 12
         for fmt, expected in (("csv", [CSV_HEADER] + [",".join(map(fmt_cell, row)) for row in rows]),
                               ("json", [json.dumps(dict(zip(ReportRow._fields, row))) for row in rows])):
