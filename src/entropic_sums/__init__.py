@@ -59,6 +59,7 @@ from .quantum import (
     PSD_TOL,
     SPECTRUM_GAP_TOL,
     DensityOperator,
+    DensityStack,
     PureEnsemble,
     RankOnePOVM,
     density_from_ensemble,

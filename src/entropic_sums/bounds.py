@@ -236,8 +236,8 @@ def classical_checks(p, q, alphas, tol: float | None = None) -> CheckTable:
 
 def quantum_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
     """:func:`pair_checks` of the spectra of two density operators, or of two
-    equal-length sequences of them, with the distance measured by the Ky Fan
-    k-norm of the operator difference."""
+    equal-length :class:`~entropic_sums.quantum.DensityStack` stacks, with the
+    distance measured by the Ky Fan k-norm of the operator difference."""
     return pair_checks(quantum.spectra(rho), quantum.spectra(sigma),
                        quantum.ky_fan_distances(rho, sigma), alphas, tol)
 
@@ -319,12 +319,12 @@ def _pair_residual(x: np.ndarray, y: np.ndarray, epsilon: float) -> float:
     )
 
 
-
-
 #: Points per row of the lowered-mass grid in :func:`adversarial_search`, and
 #: the rounds of that grid (the first over [0, epsilon], then zooms).
 _GRID = 129
 _ROUNDS = 5
+#: Offsets of a zoomed row's grid points from its centre, in steps of the last grid.
+_ZOOM = np.linspace(-1.0, 1.0, _GRID)
 
 
 def _two_group(k: int, a: Alpha, eps: float, t: np.ndarray):
@@ -391,13 +391,17 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
     if not bound.applicable:
         raise ValueError(
             f"epsilon {epsilon} exceeds the applicable threshold {bound.threshold} for k={k}, alpha={a.value}")
-    k, eps = int(k), float(epsilon)
+    return _adversarial(int(k), a, float(epsilon), bound, tol)
+
+
+def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue, tol: float | None) -> AdversarialResult:
+    """:func:`adversarial_search` once ``bound``, the bound at ``eps``, is known to apply."""
     rows = np.arange(k)
     t = np.tile(np.linspace(0.0, eps, _GRID), (k, 1))
     half = eps / (_GRID - 1)
     for _ in range(_ROUNDS - 1):
         centre = t[rows, _two_group(k, a, eps, t)[2].argmax(axis=1)]
-        t = np.clip(centre[:, None] + half * np.linspace(-1.0, 1.0, _GRID), 0.0, eps)
+        t = np.clip(centre[:, None] + half * _ZOOM, 0.0, eps)
         half *= 2.0 / (_GRID - 1)
     u, low, gap = _two_group(k, a, eps, t)
     row, i = np.unravel_index(np.argmax(gap), gap.shape)

@@ -20,14 +20,14 @@ def _onto_simplex(arr: np.ndarray) -> np.ndarray:
     nonnegative, rescales each row's total to 1 and returns the result
     read-only.
     """
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("probabilities must be finite")
-    if np.any(arr < -SIMPLEX_TOL):
+    if (arr < -SIMPLEX_TOL).any():
         raise ValueError("negative probability beyond tolerance")
-    arr = np.clip(arr, 0.0, None)
+    arr = np.maximum(arr, 0.0)
     total = arr.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0)
-    if np.any(off > SIMPLEX_TOL):
+    if (off > SIMPLEX_TOL).any():
         raise ValueError(f"probabilities sum to {total[off > SIMPLEX_TOL][0]}, not 1")
     # dividing a row whose total is already 1 to machine precision would only
     # inject rounding noise and break exact permutation symmetry

@@ -31,6 +31,7 @@ from .classical import (
     partial_distances,
     partial_sums,
 )
+from .entropy import as_alpha
 from .quantum import (
     DensityOperator,
     PureEnsemble,
@@ -174,11 +175,13 @@ def _sweep_batch(config: RunConfig) -> Batch:
             values = np.zeros((2, trials, 2, len(dims), top))
             distances = np.empty((trials, 2, len(dims), top))
             for j, (m, entry) in enumerate(zip(dims, draws)):
-                base, eps, fresh, re, im, eps_q, fresh_re, fresh_im = map(np.array, zip(*entry))
-                p = sampling.simplex_points(base)
-                q = sampling.near_points(p, sampling.simplex_points(fresh), eps)
-                rho = sampling.density_operators(re, im)
-                sigma = sampling.near_operators(rho, sampling.density_operators(fresh_re, fresh_im), eps_q)
+                # each kind of instance built and checked as one stack, base rows then fresh rows
+                base, eps, fresh, re, im, eps_q, fresh_re, fresh_im = zip(*entry)
+                points = sampling.simplex_points(base + fresh)
+                p, fresh_p = points[:trials], points[trials:]
+                q = sampling.near_points(p, fresh_p, eps)
+                rho, fresh_rho = sampling.density_operators(re + fresh_re, im + fresh_im).split(trials)
+                sigma = sampling.near_operators(rho, fresh_rho, eps_q)
                 for e, pair in enumerate(((p, q), (spectra(rho), spectra(sigma)))):
                     values[:, :, e, j, :m] = pair
                 for e, dist in enumerate((partial_distances(p, q), ky_fan_distances(rho, sigma))):
@@ -261,7 +264,7 @@ def _cmd_eval(args) -> Batch:
         dim = first.dim
         ks = _k_lists(args.k, dim)
         at = [k - 1 for k in ks]
-        sums = partial_sums(spectra([first, second]), alphas)[..., at]
+        sums = partial_sums(np.stack([spectra(first), spectra(second)]), alphas)[..., at]
         return _value_batch([("eval_quantum_partial_sum_a", alphas, ks, {"lhs": sums[0]}),
                              ("eval_quantum_partial_sum_b", alphas, ks, {"lhs": sums[1]}),
                              ("eval_kyfan_distance", [None], ks,
@@ -321,7 +324,7 @@ def _cmd_adversarial(args) -> Batch:
                     continue
                 satisfied = True
                 try:
-                    res = bounds.adversarial_search(k, alpha, eps, tol=tol)
+                    res = bounds._adversarial(k, as_alpha(alpha), eps, bound, tol)
                 except bounds.BoundViolationError as exc:
                     print(f"bound violation: {exc}", file=sys.stderr)
                     res, satisfied = exc.witness, False

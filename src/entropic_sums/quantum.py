@@ -1,10 +1,16 @@
 """Density operators, Ky Fan norms, quantum partial entropic sums, and partial fidelities.
 
+A :class:`DensityStack` holds density operators as one array, checked once;
+the scalar :class:`DensityOperator` is a stack of one. The stacked functions
+take either, and for a stack their results gain a leading axis.
+
 All matrix functions go through Hermitian eigendecomposition; nothing here uses
 series expansions. Decomposition failures surface as ``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +37,7 @@ def _as_matrix(x) -> np.ndarray:
     m = np.array(x, dtype=complex, copy=True)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("expected a nonempty 2-d matrix")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -39,59 +45,76 @@ def _as_matrix(x) -> np.ndarray:
 def _check_densities(m: np.ndarray) -> np.ndarray:
     """Check a stack of matrices of shape ``(n, d, d)`` as density operators and
     return their eigenvalues, ascending, from one stacked decomposition."""
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {m.shape[-2:]}")
-    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITIAN_TOL:
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    trace = np.trace(m, axis1=-2, axis2=-1)
+    trace = m.trace(axis1=-2, axis2=-1)
     off = np.abs(trace - 1.0) > HERMITIAN_TOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"trace must be 1, got {trace[off][0]}")
     eigenvalues = np.linalg.eigvalsh(m)
-    if np.any(eigenvalues[:, 0] < -PSD_TOL):
+    if (eigenvalues[:, 0] < -PSD_TOL).any():
         raise ValueError("matrix has a negative eigenvalue beyond tolerance")
     eigenvalues.flags.writeable = False
     return eigenvalues
 
 
+@dataclass(frozen=True, eq=False)
+class DensityStack:
+    """Density operators checked as one stack: a read-only copy of the
+    ``matrices``, shape ``(n, d, d)``, and their ``eigenvalues``, ascending,
+    shape ``(n, d)``, from the check's one stacked decomposition. The copy is
+    made after the check, so the check's temporaries are freed by then."""
+
+    matrices: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrices, dtype=complex)
+        if m.ndim != 3 or m.size == 0:
+            raise ValueError("expected a nonempty stack of matrices of shape (n, d, d)")
+        eigenvalues = _check_densities(m)
+        self._hold(m.copy(), eigenvalues)
+
+    def _hold(self, matrices: np.ndarray, eigenvalues: np.ndarray) -> DensityStack:
+        matrices.flags.writeable = False
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        return self
+
+    def split(self, n: int) -> tuple[DensityStack, DensityStack]:
+        """The first ``n`` operators and the rest, as stacks checked with this one."""
+        return tuple(object.__new__(DensityStack)._hold(self.matrices[rows], self.eigenvalues[rows])
+                     for rows in (slice(n), slice(n, None)))
+
+
 class DensityOperator:
     """d x d complex Hermitian, positive semidefinite, unit-trace matrix.
 
-    The eigenvalues computed for the PSD check are kept, so the spectrum is
-    decomposed once per state.
+    Held as a :class:`DensityStack` of one, so the eigenvalues computed for
+    the PSD check are kept and the spectrum is decomposed once per state.
     """
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex, copy=True)
-        if m.ndim != 2 or m.size == 0:
-            raise ValueError("expected a nonempty 2-d matrix")
-        self._eigenvalues = _check_densities(m[None])[0]
-        m.flags.writeable = False
-        self._matrix = m
+        self._as_stack = DensityStack(_as_matrix(matrix)[None])
 
     @classmethod
-    def _stack(cls, m: np.ndarray) -> list[DensityOperator]:
-        """One operator per matrix of a fresh complex stack of shape
-        ``(n, d, d)``, checked as one stack; the stack becomes read-only and
-        each operator holds views into it."""
-        eigenvalues = _check_densities(m)
-        m.flags.writeable = False
-        ops = []
-        for matrix, vals in zip(m, eigenvalues):
-            rho = cls.__new__(cls)
-            rho._matrix, rho._eigenvalues = matrix, vals
-            ops.append(rho)
-        return ops
+    def _validated(cls, stack: DensityStack) -> DensityOperator:
+        """Wrap a stack of one, which its construction has checked."""
+        rho = cls.__new__(cls)
+        rho._as_stack = stack
+        return rho
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
+        return self._as_stack.matrices[0]
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self._as_stack.matrices.shape[-1]
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -148,33 +171,31 @@ class RankOnePOVM:
         return self.vectors.shape[1]
 
 
-def _matrices(states) -> np.ndarray:
-    """The matrix of one density operator, or the stacked matrices of a sequence."""
+def _parts(states) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix and ascending eigenvalues of a density operator, or those of every operator of a stack."""
     if isinstance(states, DensityOperator):
-        return states.matrix
-    return np.stack([s.matrix for s in states])
+        return states.matrix, states._as_stack.eigenvalues[0]
+    if not isinstance(states, DensityStack):
+        raise TypeError(f"expected a DensityOperator or a DensityStack, got {type(states).__name__}")
+    return states.matrices, states.eigenvalues
 
 
 def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _matrices(rho), _matrices(sigma)
+    a, b = _parts(rho)[0], _parts(sigma)[0]
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     return a, b
 
 
 def spectra(states) -> np.ndarray:
-    """Spectra of one density operator or of a sequence of them, largest first.
+    """Spectra of a density operator or of a stack of them, largest first.
 
     Returns shape ``(d,)`` or ``(n, d)``. Eigenvalues are clamped to [0, 1],
     zeroed below the solver-noise floor, and renormalized, so numerical
     residue never leaks into downstream entropy terms. Reads the eigenvalues
     kept at construction; no decomposition is repeated.
     """
-    if isinstance(states, DensityOperator):
-        vals = states._eigenvalues[::-1]
-    else:
-        vals = np.stack([s._eigenvalues for s in states])[:, ::-1]
-    vals = np.clip(vals, 0.0, 1.0)
+    vals = np.clip(_parts(states)[1][..., ::-1], 0.0, 1.0)
     vals[vals < EIGENVALUE_NOISE_FLOOR] = 0.0
     return vals / vals.sum(axis=-1, keepdims=True)
 
@@ -212,7 +233,7 @@ def quantum_partial_sum(rho: DensityOperator, k: int, alpha: AlphaLike) -> float
 
 
 def ky_fan_distances(rho, sigma) -> np.ndarray:
-    """Every Ky Fan distance of two density operators, or of two sequences of them.
+    """Every Ky Fan distance of two density operators, or of two stacks of them.
 
     Entry k-1 along the last axis is the Ky Fan k-norm of the difference; all
     k come from one stacked singular-value decomposition.
@@ -276,25 +297,30 @@ def product_monotonicity_preconditions(rho_joint: DensityOperator, dims: tuple[i
     return commuting, products_distinct
 
 
-def psd_sqrt(rho) -> np.ndarray:
-    """Unique positive square root of a density operator, or of each in a
-    sequence, via Hermitian eigendecomposition."""
-    vals, vecs = np.linalg.eigh(_matrices(rho))
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
+def psd_sqrt(rho) -> np.ndarray:
+    """Unique positive square root of a density operator, or of each of a
+    stack, via Hermitian eigendecomposition."""
+    return _psd_sqrt(_parts(rho)[0])
+
+
 def partial_fidelities(rho, sigma) -> np.ndarray:
-    """Every partial fidelity of two density operators, or of two sequences of them.
+    """Every partial fidelity of two density operators, or of two stacks of them.
 
     Entry k along the last axis, for k = 0..d, is the tail sum of the
     decreasing singular values of sqrt(rho) sqrt(sigma) from index k+1
     through d: k = 0 gives the full sum (the square root of the Uhlmann
-    fidelity) and k = d gives exactly 0. The tails are summed smallest first,
-    so they are nonincreasing in k in floating point too.
+    fidelity) and k = d gives exactly 0. Both square roots come from one
+    stacked decomposition. The tails are summed smallest first, so they are
+    nonincreasing in k in floating point too.
     """
-    _pair(rho, sigma)
-    s = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)
+    root_rho, root_sigma = _psd_sqrt(np.stack(np.broadcast_arrays(*_pair(rho, sigma))))
+    s = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
     tails = np.flip(np.cumsum(np.flip(s, axis=-1), axis=-1), axis=-1)
     return np.concatenate([tails, np.zeros_like(tails[..., :1])], axis=-1)
 

@@ -3,10 +3,11 @@ POVMs and near-pairs.
 
 The ``sample_*`` generators take a ``numpy.random.Generator`` (the package
 standardizes on NumPy's seedable PCG64 streams) so sweeps are reproducible bit
-for bit. The stacked samplers (``simplex_points``, ``density_operators``,
-``near_points``, ``near_operators``) turn stacks of raw draws into validated
-instances; the simplex, density and near-pair generators are stack-of-one
-wrappers over them, so each formula is written once.
+for bit. The stacked samplers turn stacks of raw draws into instances checked
+once per stack: read-only arrays (``simplex_points``, ``near_points``) or a
+:class:`~entropic_sums.quantum.DensityStack` (``density_operators``,
+``near_operators``). The simplex, density and near-pair generators are
+stack-of-one wrappers over them, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import ProbVector, _onto_simplex
-from .quantum import DensityOperator, PureEnsemble, RankOnePOVM
+from .quantum import DensityOperator, DensityStack, PureEnsemble, RankOnePOVM
 
 
 def simplex_points(draws) -> np.ndarray:
@@ -24,19 +25,20 @@ def simplex_points(draws) -> np.ndarray:
     return _onto_simplex(g / g.sum(axis=-1, keepdims=True))
 
 
-def density_operators(real, imag) -> list[DensityOperator]:
+def density_operators(real, imag) -> DensityStack:
     """Validated density operators ``G G*/tr G G*`` from stacks of the real and
     imaginary parts of square Gaussian matrices G, shape ``(n, d, d)``."""
-    g = np.asarray(real) + 1j * np.asarray(imag)
-    m = g @ np.swapaxes(g.conj(), -1, -2)
-    return DensityOperator._stack(m / np.trace(m, axis1=-2, axis2=-1)[:, None, None])
+    m = np.asarray(real) + 1j * np.asarray(imag)
+    m = m @ m.conj().swapaxes(-1, -2)
+    m /= m.trace(axis1=-2, axis2=-1)[:, None, None]
+    return DensityStack(m)
 
 
 def _mix(base: np.ndarray, diff: np.ndarray, epsilon, dist: np.ndarray) -> np.ndarray:
     """``base + t * diff`` per row, with t = 1 where ``dist <= epsilon`` and
     ``epsilon / dist`` elsewhere, so every row lands within epsilon of its base."""
     eps = np.asarray(epsilon, dtype=float)
-    if not np.all(eps >= 0.0):
+    if not (eps >= 0.0).all():
         raise ValueError("epsilon must be nonnegative")
     t = np.divide(eps, dist, out=np.ones_like(dist), where=dist > eps)
     return base + t.reshape(t.shape + (1,) * (base.ndim - t.ndim)) * diff
@@ -49,14 +51,13 @@ def near_points(base: np.ndarray, fresh: np.ndarray, epsilon) -> np.ndarray:
     return _onto_simplex(_mix(base, diff, epsilon, np.abs(diff).sum(axis=-1)))
 
 
-def near_operators(base, fresh, epsilon) -> list[DensityOperator]:
-    """Validated mixtures of each density operator in ``base`` with the
-    matching one in ``fresh``, within trace distance ``epsilon[i]`` of the i-th."""
-    a = np.stack([rho.matrix for rho in base])
-    diff = np.stack([rho.matrix for rho in fresh]) - a
+def near_operators(base: DensityStack, fresh: DensityStack, epsilon) -> DensityStack:
+    """Validated mixtures of each density operator of the stack ``base`` with
+    the matching one of ``fresh``, within trace distance ``epsilon[i]`` of the i-th."""
+    diff = fresh.matrices - base.matrices
     # the trace norm, summed in the order of ky_fan_norm
     dist = np.cumsum(np.linalg.svd(diff, compute_uv=False), axis=-1)[:, -1]
-    return DensityOperator._stack(_mix(a, diff, epsilon, dist))
+    return DensityStack(_mix(base.matrices, diff, epsilon, dist))
 
 
 def sample_simplex(m: int, rng: np.random.Generator) -> ProbVector:
@@ -72,7 +73,7 @@ def sample_density(d: int, rng: np.random.Generator) -> DensityOperator:
     if int(d) != d or d < 1:
         raise ValueError("d must be a positive integer")
     real, imag = rng.standard_normal((d, d)), rng.standard_normal((d, d))
-    return density_operators(real[None], imag[None])[0]
+    return DensityOperator._validated(density_operators(real[None], imag[None]))
 
 
 def sample_state_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,5 +122,6 @@ def sample_near(obj, epsilon: float, rng: np.random.Generator):
         q = near_points(obj.values[None], fresh.values[None], [epsilon])
         return ProbVector._validated(q[0])
     if isinstance(obj, DensityOperator):
-        return near_operators([obj], [sample_density(obj.dim, rng)], [epsilon])[0]
+        fresh = sample_density(obj.dim, rng)._as_stack
+        return DensityOperator._validated(near_operators(obj._as_stack, fresh, [epsilon]))
     raise TypeError("expected a ProbVector or a DensityOperator")

@@ -2,6 +2,7 @@
 guards that keep the sweep's work independent of the number of cells."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import entropic_sums
 from entropic_sums import (
     DensityOperator,
+    DensityStack,
     RunConfig,
     binary_entropy,
     cli_main,
@@ -33,6 +35,7 @@ from entropic_sums import (
     sample_simplex,
     spectra,
 )
+from entropic_sums.cli import SWEEP_CHUNK
 from entropic_sums.sampling import density_operators, near_operators, near_points, simplex_points
 
 from _oracles import mp_fannes_rhs, mp_partial_sum
@@ -58,6 +61,11 @@ def density_pairs(seed, n, d):
     rhos = [sample_density(d, rng) for _ in range(n)]
     sigmas = [sample_near(r, 10.0 ** rng.uniform(-3.0, 0.0), rng) for r in rhos]
     return rhos, sigmas
+
+
+def as_stack(states):
+    """The matrices of a list of density operators as one stack."""
+    return DensityStack(np.stack([rho.matrix for rho in states]))
 
 
 class TestPartialSums:
@@ -88,7 +96,7 @@ class TestKyFanDistances:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 7))
     def test_matches_per_k_svd(self, seed, n, d):
         rhos, sigmas = density_pairs(seed, n, d)
-        dists = ky_fan_distances(rhos, sigmas)
+        dists = ky_fan_distances(as_stack(rhos), as_stack(sigmas))
         assert dists.shape == (n, d)
         for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
             s = np.linalg.svd(rho.matrix - sigma.matrix, compute_uv=False)
@@ -102,7 +110,7 @@ class TestPartialFidelities:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 7))
     def test_tails_nonincreasing_and_exact_ends(self, seed, n, d):
         rhos, sigmas = density_pairs(seed, n, d)
-        fids = partial_fidelities(rhos, sigmas)
+        fids = partial_fidelities(as_stack(rhos), as_stack(sigmas))
         assert fids.shape == (n, d + 1)
         assert np.all(np.diff(fids, axis=-1) <= 0.0)
         assert np.all(fids[:, d] == 0.0)
@@ -244,11 +252,13 @@ class TestRunSweepBatched:
 
 
 def _sweep_stack(g, h, eps, re, im, fre, fim, alphas):
-    """The stacked build and check table of one dims entry, as the sweep makes it."""
-    p = simplex_points(g)
-    q = near_points(p, simplex_points(h), eps)
-    rho = density_operators(re, im)
-    sigma = near_operators(rho, density_operators(fre, fim), eps)
+    """The stacked build and check table of one dims entry, as the sweep makes
+    it: base and fresh draws built as one stack, then split."""
+    n = len(g)
+    p, fresh = np.split(simplex_points(np.concatenate([g, h])), [n])
+    q = near_points(p, fresh, eps)
+    rho, fresh_rho = density_operators(np.concatenate([re, fre]), np.concatenate([im, fim])).split(n)
+    sigma = near_operators(rho, fresh_rho, eps)
     table = pair_checks(np.concatenate([p, spectra(rho)]), np.concatenate([q, spectra(sigma)]),
                         np.concatenate([partial_distances(p, q), ky_fan_distances(rho, sigma)]),
                         alphas)
@@ -271,9 +281,9 @@ class TestStackedBuilds:
         for i in range(n):
             p1, q1, rho1, sigma1, table1 = _sweep_stack(*(x[i:i + 1] for x in draws), alphas)
             assert p[i].tobytes() == p1[0].tobytes() and q[i].tobytes() == q1[0].tobytes()
-            for stacked, single in ((rho[i], rho1[0]), (sigma[i], sigma1[0])):
-                assert stacked.matrix.tobytes() == single.matrix.tobytes()
-                assert spectra(stacked).tobytes() == spectra(single).tobytes()
+            for stacked, single in ((rho, rho1), (sigma, sigma1)):
+                assert stacked.matrices[i].tobytes() == single.matrices[0].tobytes()
+                assert spectra(stacked)[i].tobytes() == spectra(single)[0].tobytes()
             for name in ("lhs", "epsilon", "rhs", "applicable", "satisfied", "margin"):
                 assert getattr(table, name)[[i, n + i]].tobytes() == getattr(table1, name).tobytes()
 
@@ -284,19 +294,19 @@ class TestStackedBuilds:
             *(rng.standard_normal((4, 3, 3)) for _ in range(4)), [1.0])
         assert not p.flags.writeable and not q.flags.writeable
         assert np.allclose(q.sum(axis=-1), 1.0) and np.all(np.abs(q - p).sum(axis=-1) <= 0.4 + 1e-12)
-        for state in rho + sigma:
-            assert not state.matrix.flags.writeable
-            assert np.allclose(state.matrix, state.matrix.conj().T)
+        for stack in (rho, sigma):
+            assert not stack.matrices.flags.writeable and not stack.eigenvalues.flags.writeable
+            assert np.allclose(stack.matrices, np.swapaxes(stack.matrices.conj(), -1, -2))
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     def test_density_checks_stack_the_ky_fan_and_fidelity_tables(self, d):
-        # one pair and a sequence of pairs; each half equals its own table bit for bit
+        # one pair and a stack of pairs; each half equals its own table bit for bit
         rng = np.random.default_rng(200 + d)
         rho = density_operators(*(rng.standard_normal((3, d, d)) for _ in range(2)))
         sigma = near_operators(rho, density_operators(*(rng.standard_normal((3, d, d)) for _ in range(2))),
                                [1e-3, 0.05, 0.4])
         alphas = [0.3, 1.0, 2.5, 7.0]
-        for a, b in ((rho[0], sigma[0]), (rho, sigma)):
+        for a, b in ((DensityOperator(rho.matrices[0]), DensityOperator(sigma.matrices[0])), (rho, sigma)):
             table = density_checks(a, b, alphas)
             for half, expected in enumerate((quantum_checks(a, b, alphas), fidelity_checks(a, b, alphas))):
                 for name in ("lhs", "epsilon", "rhs", "threshold", "applicable", "satisfied", "margin"):
@@ -307,6 +317,77 @@ class TestStackedBuilds:
         p = simplex_points(rng.exponential(size=(2, 3)))
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
             near_points(p, simplex_points(rng.exponential(size=(2, 3))), [0.1, np.nan])
+
+
+KINDS = ("generic", "rank_deficient", "near_degenerate")
+
+
+def gaussian_parts(rng, n, d, kind):
+    """Real and imaginary parts of n square matrices G whose G G* are
+    generic, of rank below d (trailing columns of G zero), or near the
+    identity (G = I plus noise down to 1e-12, or exactly I), which makes
+    the spectrum near-degenerate."""
+    re, im = rng.standard_normal((n, d, d)), rng.standard_normal((n, d, d))
+    if kind == "rank_deficient":
+        rank = int(rng.integers(1, d)) if d > 1 else 1
+        re[..., rank:], im[..., rank:] = 0.0, 0.0
+    elif kind == "near_degenerate":
+        scale = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-12.0, -4.0)
+        re, im = np.eye(d) + scale * re, scale * im
+    return re, im
+
+
+class TestStackForm:
+    """A density stack and the same matrices built one by one as
+    :class:`DensityOperator` give the same bytes from every stacked function,
+    and a merged build splits into the separate builds bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5), st.sampled_from(KINDS))
+    def test_rows_equal_the_scalar_path(self, seed, d, n, kind):
+        rng = np.random.default_rng(seed)
+        rho, sigma = (density_operators(*gaussian_parts(rng, n, d, kind)) for _ in range(2))
+        stacked = (spectra(rho), spectra(sigma), ky_fan_distances(rho, sigma), psd_sqrt(rho),
+                   partial_fidelities(rho, sigma))
+        for i in range(n):
+            r, s = DensityOperator(rho.matrices[i]), DensityOperator(sigma.matrices[i])
+            single = (spectra(r), spectra(s), ky_fan_distances(r, s), psd_sqrt(r), partial_fidelities(r, s))
+            for many, one in zip(stacked, single):
+                assert many[i].tobytes() == one.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5), st.sampled_from(KINDS))
+    def test_merged_build_equals_separate_builds(self, seed, d, n, kind):
+        rng = np.random.default_rng(seed)
+        (re, im), (fre, fim) = gaussian_parts(rng, n, d, kind), gaussian_parts(rng, n, d, kind)
+        merged = density_operators(np.concatenate([re, fre]), np.concatenate([im, fim])).split(n)
+        for part, alone in zip(merged, (density_operators(re, im), density_operators(fre, fim))):
+            assert part.matrices.tobytes() == alone.matrices.tobytes()
+            assert part.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert not part.matrices.flags.writeable and not part.eigenvalues.flags.writeable
+        g, h = rng.exponential(size=(2, n, d))
+        p, q = np.split(simplex_points(np.concatenate([g, h])), 2)
+        assert p.tobytes() == simplex_points(g).tobytes() and q.tobytes() == simplex_points(h).tobytes()
+
+    def test_stack_is_checked_and_copied_at_construction(self):
+        with pytest.raises(ValueError, match="stack of matrices"):
+            DensityStack(np.eye(2) / 2.0)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityStack(np.stack([np.eye(2) / 2.0, np.diag([1.5, -0.5])]))
+        with pytest.raises(ValueError, match="finite"):
+            DensityStack(np.full((1, 2, 2), np.nan + 0.5j))
+        source = np.stack([np.eye(2) / 2.0])
+        stack = DensityStack(source)
+        source[0, 0, 0] = 9.0
+        assert stack.matrices[0, 0, 0] == 0.5 and not stack.matrices.flags.writeable
+
+    def test_sequences_of_operators_are_rejected(self):
+        rho = sample_density(2, np.random.default_rng(0))
+        for fn in (spectra, psd_sqrt):
+            with pytest.raises(TypeError, match="DensityStack"):
+                fn([rho, rho])
+        with pytest.raises(TypeError, match="DensityStack"):
+            ky_fan_distances([rho], [rho])
 
 
 class TestPaddedPairChecks:
@@ -359,10 +440,34 @@ class TestCallCountGuards:
         def count(trials):
             calls.clear()
             run_sweep(RunConfig(seed=1, trials=trials, alpha_grid=[0.5, 1.0, 3.0], dims=[2, 4, 8]))
-            return len(calls)
+            return Counter(calls)
 
-        # each dims entry is sampled, validated and checked as one stack
-        assert count(2) == count(8) > 0
+        # each dims entry is sampled, validated and checked as one stack per
+        # chunk: one eigvalsh for the base and fresh operators together, one
+        # svd and one eigvalsh in the near mix, one svd for the Ky Fan distances
+        per_chunk = Counter(eigvalsh=2 * 3, svd=2 * 3)
+        assert count(2) == count(8) == per_chunk
+        assert count(SWEEP_CHUNK + 1) == per_chunk + per_chunk
+
+    def test_sweep_creates_no_density_operator(self, monkeypatch):
+        made = []
+        init, validated = DensityOperator.__init__, DensityOperator._validated.__func__
+
+        def counted_init(self, matrix):
+            made.append(1)
+            init(self, matrix)
+
+        def counted_validated(cls, stack):
+            made.append(1)
+            return validated(cls, stack)
+
+        monkeypatch.setattr(DensityOperator, "__init__", counted_init)
+        monkeypatch.setattr(DensityOperator, "_validated", classmethod(counted_validated))
+        run_sweep(RunConfig(seed=1, trials=3, alpha_grid=[0.5, 3.0], dims=[1, 4]))
+        assert made == []
+        # both ways of making one are counted
+        DensityOperator(sample_density(2, np.random.default_rng(0)).matrix)
+        assert len(made) == 2
 
     def test_entropy_term_calls_do_not_grow_with_trials(self, monkeypatch):
         calls = []
@@ -388,11 +493,11 @@ class TestCallCountGuards:
         # the Ky Fan and the fidelity rows of a density pair share one lhs
         rng = np.random.default_rng(12)
         files = []
-        for name, state in zip(("rho.json", "sigma.json"),
-                               density_operators(*(rng.standard_normal((2, 4, 4)) for _ in range(2)))):
+        for name, matrix in zip(("rho.json", "sigma.json"),
+                                density_operators(*(rng.standard_normal((2, 4, 4)) for _ in range(2))).matrices):
             path = tmp_path / name
-            path.write_text(json.dumps({"kind": "density", "dim": 4, "re": state.matrix.real.tolist(),
-                                        "im": state.matrix.imag.tolist()}))
+            path.write_text(json.dumps({"kind": "density", "dim": 4, "re": matrix.real.tolist(),
+                                        "im": matrix.imag.tolist()}))
             files.append(str(path))
         calls = []
 

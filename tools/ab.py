@@ -15,7 +15,9 @@ the rounds run op by op, each op on both sides back to back, the side that
 goes first alternating between rounds, so slow drift of the machine falls on
 both sides alike. The last line is a JSON object with each side's sum of
 per-op median times and their ratio (REV over working tree: above 1 means the
-working tree is faster).
+working tree is faster), and the quartiles of the per-round ratio, each
+round's time summed over all ops on either side, which show how far the
+ratio spreads from round to round.
 
 BLAS runs single-threaded, no bytecode is written, and inputs and the export
 live in temporary directories that are removed on exit.
@@ -128,10 +130,14 @@ def main(argv=None) -> int:
             order.reverse()
     sums = {name: 1e3 * sum(map(statistics.median, per_op)) for name, per_op in times.items()}
     rev_ms, tree_ms = sums.values()
+    rev_rounds, tree_rounds = ([sum(column) for column in zip(*per_op)] for per_op in times.values())
+    ratios = [r / t for r, t in zip(rev_rounds, tree_rounds)]
+    quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     run = {"workload": args.workload, "seed": args.seed} if args.argv is None else {"argv": args.argv}
     print(json.dumps({"rev": args.rev, **run, "rounds": args.rounds, "ops": len(ops),
                       "rev_ms": round(rev_ms, 3), "tree_ms": round(tree_ms, 3),
-                      "ratio": round(rev_ms / tree_ms, 4)}))
+                      "ratio": round(rev_ms / tree_ms, 4),
+                      "round_ratio_quartiles": [round(q, 4) for q in quartiles]}))
     return 0
 
 
