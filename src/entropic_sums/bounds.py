@@ -229,9 +229,10 @@ def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None)
 def classical_checks(p, q, alphas, tol: float | None = None) -> CheckTable:
     """:func:`pair_checks` of two distributions, or of two stacks of them of
     shape ``(..., m)``, with the distance measured by the k-term gauge of the
-    coordinate differences."""
-    return pair_checks(classical._values(p), classical._values(q),
-                       classical.partial_distances(p, q), alphas, tol)
+    coordinate differences. An array is checked row by row as a ``ProbVector`` is."""
+    p, q = (x.values if isinstance(x, classical.ProbVector) else classical._onto_simplex(np.asarray(x, float))
+            for x in (p, q))
+    return pair_checks(p, q, classical.partial_distances(p, q), alphas, tol)
 
 
 def quantum_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
@@ -391,11 +392,18 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
     if not bound.applicable:
         raise ValueError(
             f"epsilon {epsilon} exceeds the applicable threshold {bound.threshold} for k={k}, alpha={a.value}")
-    return _adversarial(int(k), a, float(epsilon), bound, tol)
+    k, eps = int(k), float(epsilon)
+    result = _adversarial(k, a, eps, bound)
+    if result.achieved > bound.rhs + check_tolerance(tol):
+        raise BoundViolationError(
+            f"pair achieved {result.achieved} above the bound {bound.rhs} "
+            f"(k={k}, alpha={a.value}, eps={eps}); x={result.x.tolist()}, y={result.y.tolist()}",
+            witness=result)
+    return result
 
 
-def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue, tol: float | None) -> AdversarialResult:
-    """:func:`adversarial_search` once ``bound``, the bound at ``eps``, is known to apply."""
+def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue) -> AdversarialResult:
+    """:func:`adversarial_search` with no verdict, once ``bound``, the bound at ``eps``, is known to apply."""
     rows = np.arange(k)
     t = np.tile(np.linspace(0.0, eps, _GRID), (k, 1))
     half = eps / (_GRID - 1)
@@ -415,11 +423,5 @@ def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue, tol: float | N
     if _pair_residual(x, y, eps) > FEASIBILITY_TOL:
         raise RuntimeError("the two-group pair is infeasible")
     tightness = achieved / bound.rhs if bound.rhs > 0.0 else 0.0
-    result = AdversarialResult(x=x, y=y, achieved=achieved, bound_rhs=bound.rhs,
-                               tightness=tightness, iterations=_ROUNDS * k * _GRID + 1)
-    if achieved > bound.rhs + check_tolerance(tol):
-        raise BoundViolationError(
-            f"pair achieved {achieved} above the bound {bound.rhs} "
-            f"(k={k}, alpha={a.value}, eps={eps}); x={x.tolist()}, y={y.tolist()}",
-            witness=result)
-    return result
+    return AdversarialResult(x=x, y=y, achieved=achieved, bound_rhs=bound.rhs,
+                             tightness=tightness, iterations=_ROUNDS * k * _GRID + 1)

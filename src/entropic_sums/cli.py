@@ -87,8 +87,10 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if len(self.dims) == 0:
             raise ValueError("dims must name at least one dimension")
-        if not self.alpha_grid or any(a <= 0 for a in self.alpha_grid):
-            raise ValueError("every alpha in the grid must be positive")
+        if not self.alpha_grid:
+            raise ValueError("the alpha grid must name at least one order")
+        for alpha in self.alpha_grid:
+            as_alpha(alpha)  # raises for an order that is not positive and finite
 
 
 def _k_lists(policy, dims):
@@ -223,66 +225,50 @@ def _value_batch(blocks, dim: int, seed: int) -> Batch:
     return Batch(cells, [tuple(columns.values())])
 
 
+#: Each instance type that ``eval`` takes alone or in a like pair: its kind and the distribution it sums.
+_EVAL_SUMS = {ProbVector: ("classical", lambda obj: obj.values),
+              DensityOperator: ("quantum", spectra),
+              JointDistribution: ("joint", lambda obj: obj.flattened().values),
+              PureEnsemble: ("quantum", lambda obj: spectra(density_from_ensemble(obj)))}
+
+
 def _cmd_eval(args) -> Batch:
     if len(args.inputs) > 2:
         raise ValueError("eval takes one or two input files")
     objs = [load_instance(p) for p in args.inputs]
     alphas = args.alpha or [1.0]
-    seed = args.seed
-
-    if len(objs) == 1:
-        obj = objs[0]
-        if isinstance(obj, ProbVector):
-            experiment, probs = "eval_classical_partial_sum", obj.values
-        elif isinstance(obj, DensityOperator):
-            experiment, probs = "eval_quantum_partial_sum", spectra(obj)
-        elif isinstance(obj, JointDistribution):
-            experiment, probs = "eval_joint_partial_sum", obj.flattened().values
-        elif isinstance(obj, PureEnsemble):
-            experiment, probs = "eval_quantum_partial_sum", spectra(density_from_ensemble(obj))
-        else:
-            raise ValueError("a POVM cannot be evaluated by itself; pair it with an ensemble")
-        ks = _k_lists(args.k, probs.size)
-        sums = partial_sums(probs, alphas)[:, [k - 1 for k in ks]]
-        return _value_batch([(experiment, alphas, ks, {"lhs": sums})], probs.size, seed)
-
-    first, second = objs
-    if isinstance(first, ProbVector) and isinstance(second, ProbVector):
-        if first.dim != second.dim:
-            raise ValueError("the two distributions must have equal length")
-        dim = first.dim
-        ks = _k_lists(args.k, dim)
-        at = [k - 1 for k in ks]
-        sums = partial_sums(np.stack([first.values, second.values]), alphas)[..., at]
-        return _value_batch([("eval_classical_partial_sum_a", alphas, ks, {"lhs": sums[0]}),
-                             ("eval_classical_partial_sum_b", alphas, ks, {"lhs": sums[1]}),
-                             ("eval_partial_distance", [None], ks,
-                              {"epsilon": partial_distances(first, second)[at]})], dim, seed)
-    if isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
-        if first.dim != second.dim:
-            raise ValueError("the two density operators must have equal dimension")
-        dim = first.dim
-        ks = _k_lists(args.k, dim)
-        at = [k - 1 for k in ks]
-        sums = partial_sums(np.stack([spectra(first), spectra(second)]), alphas)[..., at]
-        return _value_batch([("eval_quantum_partial_sum_a", alphas, ks, {"lhs": sums[0]}),
-                             ("eval_quantum_partial_sum_b", alphas, ks, {"lhs": sums[1]}),
-                             ("eval_kyfan_distance", [None], ks,
-                              {"epsilon": ky_fan_distances(first, second)[at]}),
-                             ("eval_partial_fidelity", [None], range(dim + 1),
-                              {"lhs": partial_fidelities(first, second)})], dim, seed)
-    if {type(first), type(second)} == {PureEnsemble, RankOnePOVM}:
-        ens = first if isinstance(first, PureEnsemble) else second
-        povm = first if isinstance(first, RankOnePOVM) else second
+    types = {type(obj) for obj in objs}
+    if types == {PureEnsemble, RankOnePOVM}:
+        ens, povm = objs if isinstance(objs[0], PureEnsemble) else objs[::-1]
         rho = density_from_ensemble(ens)
         joint = povm_joint_probs(ens, povm).flattened()
         ks = _k_lists(args.k, rho.dim)
         lhs = partial_sums(spectra(rho), alphas)[:, [k - 1 for k in ks]]
         rhs = partial_sums(joint, alphas)[:, [min(k * povm.n_outcomes, joint.dim) - 1 for k in ks]]
         fields = {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
-        return _value_batch([("eval_povm_refinement", alphas, ks, fields)], rho.dim, seed)
-    raise ValueError("eval supports a single instance, a pair of like instances, "
-                     "or an ensemble together with a POVM")
+        return _value_batch([("eval_povm_refinement", alphas, ks, fields)], rho.dim, args.seed)
+    if len(objs) == 2 and types not in ({ProbVector}, {DensityOperator}):
+        raise ValueError("eval supports a single instance, a pair of like instances, "
+                         "or an ensemble together with a POVM")
+    if RankOnePOVM in types:
+        raise ValueError("a POVM cannot be evaluated by itself; pair it with an ensemble")
+    kind, distribution = _EVAL_SUMS[type(objs[0])]
+    probs = [distribution(obj) for obj in objs]
+    dim = probs[0].size
+    if probs[-1].size != dim:
+        raise ValueError("the two instances must have equal dimension")
+    ks = _k_lists(args.k, dim)
+    at = [k - 1 for k in ks]
+    sums = partial_sums(np.stack(probs), alphas)[..., at]
+    suffixes = ["_a", "_b"] if len(objs) == 2 else [""]
+    blocks = [(f"eval_{kind}_partial_sum{suffix}", alphas, ks, {"lhs": lhs})
+              for suffix, lhs in zip(suffixes, sums)]
+    if len(objs) == 2 and kind == "classical":
+        blocks.append(("eval_partial_distance", [None], ks, {"epsilon": partial_distances(*objs)[at]}))
+    elif len(objs) == 2:
+        blocks += [("eval_kyfan_distance", [None], ks, {"epsilon": ky_fan_distances(*objs)[at]}),
+                   ("eval_partial_fidelity", [None], range(dim + 1), {"lhs": partial_fidelities(*objs)})]
+    return _value_batch(blocks, dim, args.seed)
 
 
 def _cmd_check(args) -> Batch:
@@ -313,23 +299,16 @@ def _cmd_sweep(args) -> Batch:
 def _cmd_adversarial(args) -> Batch:
     rows: list[ReportRow] = []
     tol = bounds.check_tolerance()
-    ks = args.k or [1, 2]
     for alpha in args.alpha or [1.0]:
-        for k in ks:
+        for k in args.k or [1, 2]:
             for eps in args.eps or [0.1]:
                 bound = bounds.fannes_bound(eps, k, alpha)
-                if not bound.applicable:
-                    rows.append(ReportRow("adversarial", alpha, k, k, eps, None, bound.rhs,
-                                          False, None, None, args.seed))
-                    continue
-                satisfied = True
-                try:
-                    res = bounds._adversarial(k, as_alpha(alpha), eps, bound, tol)
-                except bounds.BoundViolationError as exc:
-                    print(f"bound violation: {exc}", file=sys.stderr)
-                    res, satisfied = exc.witness, False
-                rows.append(ReportRow("adversarial", alpha, k, k, eps, res.achieved, res.bound_rhs,
-                                      True, satisfied, res.bound_rhs - res.achieved, args.seed))
+                lhs = satisfied = margin = None
+                if bound.applicable:
+                    lhs = bounds._adversarial(k, as_alpha(alpha), eps, bound).achieved
+                    satisfied, margin = lhs <= bound.rhs + tol, bound.rhs - lhs
+                rows.append(ReportRow("adversarial", alpha, k, k, eps, lhs, bound.rhs,
+                                      bound.applicable, satisfied, margin, args.seed))
     return _rows_batch(rows)
 
 
@@ -429,6 +408,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--seed", type=int, default=0)
+    orders = _Parser(add_help=False)
+    orders.add_argument("--alpha", type=_float_list, default=None)
+    orders.add_argument("--k", type=_k_policy, default="all")
     # accepted for old command lines; the results are exact, so it has no effect
     inert_restarts = _Parser(add_help=False)
     inert_restarts.add_argument("--restarts", type=int, default=100, help=argparse.SUPPRESS)
@@ -437,21 +419,15 @@ def _build_parser() -> _Parser:
                      description="Partial entropic sums, continuity bounds, and demos")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate sums/distances/fidelities from files")
+    p_eval = sub.add_parser("eval", parents=[common, orders], help="evaluate sums/distances/fidelities from files")
     p_eval.add_argument("inputs", nargs="+", help="one or two JSON instance files")
-    p_eval.add_argument("--alpha", type=_float_list, default=None)
-    p_eval.add_argument("--k", type=_k_policy, default="all")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_check = sub.add_parser("check", parents=[common], help="run bound checks on a pair of files")
+    p_check = sub.add_parser("check", parents=[common, orders], help="run bound checks on a pair of files")
     p_check.add_argument("inputs", nargs=2, help="two JSON instance files of the same kind")
-    p_check.add_argument("--alpha", type=_float_list, default=None)
-    p_check.add_argument("--k", type=_k_policy, default="all")
     p_check.set_defaults(func=_cmd_check)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="randomized bound verification")
-    p_sweep.add_argument("--alpha", type=_float_list, default=None)
-    p_sweep.add_argument("--k", type=_k_policy, default="all")
+    p_sweep = sub.add_parser("sweep", parents=[common, orders], help="randomized bound verification")
     p_sweep.add_argument("--dims", type=_int_list, default=None)
     p_sweep.add_argument("--trials", type=int, default=100)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -469,15 +445,11 @@ def _build_parser() -> _Parser:
     p_inst.add_argument("--eps", type=_float_list, default=None)
     p_inst.set_defaults(func=_cmd_demo_instability)
 
-    p_bell = demo_sub.add_parser("bell", parents=[common])
+    p_bell = demo_sub.add_parser("bell", parents=[common, orders])
     p_bell.add_argument("--theta", type=_float_list, default=None)
-    p_bell.add_argument("--alpha", type=_float_list, default=None)
-    p_bell.add_argument("--k", type=_k_policy, default="all")
     p_bell.set_defaults(func=_cmd_demo_bell)
 
-    p_max = demo_sub.add_parser("maxbounds", parents=[common, inert_restarts])
-    p_max.add_argument("--alpha", type=_float_list, default=None)
-    p_max.add_argument("--k", type=_k_policy, default="all")
+    p_max = demo_sub.add_parser("maxbounds", parents=[common, inert_restarts, orders])
     p_max.add_argument("--dims", type=_int_list, default=None)
     p_max.set_defaults(func=_cmd_demo_maxbounds)
 
@@ -561,9 +533,6 @@ def cli_main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except bounds.BoundViolationError as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 2
     return 2 if violated else 0
 
 

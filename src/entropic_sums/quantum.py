@@ -1,8 +1,8 @@
 """Density operators, Ky Fan norms, quantum partial entropic sums, and partial fidelities.
 
 A :class:`DensityStack` holds density operators as one array, checked once;
-the scalar :class:`DensityOperator` is a stack of one. The stacked functions
-take either, and for a stack their results gain a leading axis.
+the scalar :class:`DensityOperator` is one with no leading axis. The stacked
+functions take either, and for a stack their results gain its leading axes.
 
 All matrix functions go through Hermitian eigendecomposition; nothing here uses
 series expansions. Decomposition failures surface as ``numpy.linalg.LinAlgError``.
@@ -43,8 +43,8 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _check_densities(m: np.ndarray) -> np.ndarray:
-    """Check a stack of matrices of shape ``(n, d, d)`` as density operators and
-    return their eigenvalues, ascending, from one stacked decomposition."""
+    """Check matrices of shape ``(..., d, d)`` as density operators and return
+    their eigenvalues, ascending, from one stacked decomposition."""
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if m.shape[-1] != m.shape[-2]:
@@ -56,7 +56,7 @@ def _check_densities(m: np.ndarray) -> np.ndarray:
     if off.any():
         raise ValueError(f"trace must be 1, got {trace[off][0]}")
     eigenvalues = np.linalg.eigvalsh(m)
-    if (eigenvalues[:, 0] < -PSD_TOL).any():
+    if (eigenvalues[..., 0] < -PSD_TOL).any():
         raise ValueError("matrix has a negative eigenvalue beyond tolerance")
     eigenvalues.flags.writeable = False
     return eigenvalues
@@ -65,17 +65,17 @@ def _check_densities(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DensityStack:
     """Density operators checked as one stack: a read-only copy of the
-    ``matrices``, shape ``(n, d, d)``, and their ``eigenvalues``, ascending,
-    shape ``(n, d)``, from the check's one stacked decomposition. The copy is
-    made after the check, so the check's temporaries are freed by then."""
+    ``matrices``, shape ``(n, ..., d, d)``, and their ascending ``eigenvalues``,
+    shape ``(n, ..., d)``, from the check's one stacked decomposition. The copy
+    is made after the check, so the check's temporaries are freed by then."""
 
     matrices: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=complex)
-        if m.ndim != 3 or m.size == 0:
-            raise ValueError("expected a nonempty stack of matrices of shape (n, d, d)")
+        if m.ndim < 3 or m.size == 0:
+            raise ValueError("expected a nonempty stack of matrices of shape (n, ..., d, d)")
         eigenvalues = _check_densities(m)
         self._hold(m.copy(), eigenvalues)
 
@@ -91,30 +91,27 @@ class DensityStack:
                      for rows in (slice(n), slice(n, None)))
 
 
-class DensityOperator:
+class DensityOperator(DensityStack):
     """d x d complex Hermitian, positive semidefinite, unit-trace matrix.
 
-    Held as a :class:`DensityStack` of one, so the eigenvalues computed for
-    the PSD check are kept and the spectrum is decomposed once per state.
+    A :class:`DensityStack` with no leading axis: ``matrices`` is the matrix and
+    ``eigenvalues`` the ascending spectrum kept from the PSD check.
     """
 
-    def __init__(self, matrix):
-        self._as_stack = DensityStack(_as_matrix(matrix)[None])
+    def __post_init__(self):
+        m = _as_matrix(self.matrices)
+        self._hold(m, _check_densities(m))
 
-    @classmethod
-    def _validated(cls, stack: DensityStack) -> DensityOperator:
-        """Wrap a stack of one, which its construction has checked."""
-        rho = cls.__new__(cls)
-        rho._as_stack = stack
-        return rho
+    def split(self, n: int):
+        raise TypeError("a DensityOperator has no leading axis to split")
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._as_stack.matrices[0]
+        return self.matrices
 
     @property
     def dim(self) -> int:
-        return self._as_stack.matrices.shape[-1]
+        return self.matrices.shape[-1]
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -173,8 +170,6 @@ class RankOnePOVM:
 
 def _parts(states) -> tuple[np.ndarray, np.ndarray]:
     """The matrix and ascending eigenvalues of a density operator, or those of every operator of a stack."""
-    if isinstance(states, DensityOperator):
-        return states.matrix, states._as_stack.eigenvalues[0]
     if not isinstance(states, DensityStack):
         raise TypeError(f"expected a DensityOperator or a DensityStack, got {type(states).__name__}")
     return states.matrices, states.eigenvalues
@@ -190,7 +185,7 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 def spectra(states) -> np.ndarray:
     """Spectra of a density operator or of a stack of them, largest first.
 
-    Returns shape ``(d,)`` or ``(n, d)``. Eigenvalues are clamped to [0, 1],
+    Returns shape ``(d,)`` or ``(n, ..., d)``. Eigenvalues are clamped to [0, 1],
     zeroed below the solver-noise floor, and renormalized, so numerical
     residue never leaks into downstream entropy terms. Reads the eigenvalues
     kept at construction; no decomposition is repeated.

@@ -3,11 +3,11 @@ POVMs and near-pairs.
 
 The ``sample_*`` generators take a ``numpy.random.Generator`` (the package
 standardizes on NumPy's seedable PCG64 streams) so sweeps are reproducible bit
-for bit. The stacked samplers turn stacks of raw draws into instances checked
-once per stack: read-only arrays (``simplex_points``, ``near_points``) or a
-:class:`~entropic_sums.quantum.DensityStack` (``density_operators``,
-``near_operators``). The simplex, density and near-pair generators are
-stack-of-one wrappers over them, so each formula is written once.
+for bit. The stacked samplers turn raw draws of any leading shape into
+instances checked once per stack: read-only arrays (``simplex_points``,
+``near_points``) or a :class:`~entropic_sums.quantum.DensityStack`, with no
+leading axis a ``DensityOperator`` (``density_operators``, ``near_operators``).
+The scalar generators call them on one draw, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ def simplex_points(draws) -> np.ndarray:
 
 
 def density_operators(real, imag) -> DensityStack:
-    """Validated density operators ``G G*/tr G G*`` from stacks of the real and
-    imaginary parts of square Gaussian matrices G, shape ``(n, d, d)``."""
+    """Validated density operators ``G G*/tr G G*`` from the real and imaginary
+    parts of square Gaussian matrices G, shape ``(..., d, d)``."""
     m = np.asarray(real) + 1j * np.asarray(imag)
     m = m @ m.conj().swapaxes(-1, -2)
-    m /= m.trace(axis1=-2, axis2=-1)[:, None, None]
-    return DensityStack(m)
+    m /= m.trace(axis1=-2, axis2=-1)[..., None, None]
+    return DensityStack(m) if m.ndim > 2 else DensityOperator(m)
 
 
 def _mix(base: np.ndarray, diff: np.ndarray, epsilon, dist: np.ndarray) -> np.ndarray:
@@ -56,24 +56,23 @@ def near_operators(base: DensityStack, fresh: DensityStack, epsilon) -> DensityS
     the matching one of ``fresh``, within trace distance ``epsilon[i]`` of the i-th."""
     diff = fresh.matrices - base.matrices
     # the trace norm, summed in the order of ky_fan_norm
-    dist = np.cumsum(np.linalg.svd(diff, compute_uv=False), axis=-1)[:, -1]
-    return DensityStack(_mix(base.matrices, diff, epsilon, dist))
+    dist = np.cumsum(np.linalg.svd(diff, compute_uv=False), axis=-1)[..., -1]
+    # the mixtures have the leading shape of base, so an operator's mix is an operator
+    return type(base)(_mix(base.matrices, diff, epsilon, dist))
 
 
 def sample_simplex(m: int, rng: np.random.Generator) -> ProbVector:
     """Uniform draw from the m-point simplex via normalized exponentials."""
     if int(m) != m or m < 1:
         raise ValueError("m must be a positive integer")
-    g = rng.exponential(size=int(m))
-    return ProbVector._validated(simplex_points(g[None])[0])
+    return ProbVector._validated(simplex_points(rng.exponential(size=int(m))))
 
 
 def sample_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Random density operator from a square complex Gaussian matrix G: G G*/tr."""
     if int(d) != d or d < 1:
         raise ValueError("d must be a positive integer")
-    real, imag = rng.standard_normal((d, d)), rng.standard_normal((d, d))
-    return DensityOperator._validated(density_operators(real[None], imag[None]))
+    return density_operators(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
 
 
 def sample_state_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,9 +118,7 @@ def sample_near(obj, epsilon: float, rng: np.random.Generator):
     """
     if isinstance(obj, ProbVector):
         fresh = sample_simplex(obj.dim, rng)
-        q = near_points(obj.values[None], fresh.values[None], [epsilon])
-        return ProbVector._validated(q[0])
+        return ProbVector._validated(near_points(obj.values, fresh.values, epsilon))
     if isinstance(obj, DensityOperator):
-        fresh = sample_density(obj.dim, rng)._as_stack
-        return DensityOperator._validated(near_operators(obj._as_stack, fresh, [epsilon]))
+        return near_operators(obj, sample_density(obj.dim, rng), epsilon)
     raise TypeError("expected a ProbVector or a DensityOperator")

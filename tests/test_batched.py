@@ -381,6 +381,12 @@ class TestStackForm:
         source[0, 0, 0] = 9.0
         assert stack.matrices[0, 0, 0] == 0.5 and not stack.matrices.flags.writeable
 
+    def test_an_operator_has_no_axis_to_split(self):
+        rho = sample_density(3, np.random.default_rng(0))
+        assert isinstance(rho, DensityStack) and rho.matrices.shape == (3, 3)
+        with pytest.raises(TypeError, match="no leading axis"):
+            rho.split(1)
+
     def test_sequences_of_operators_are_rejected(self):
         rho = sample_density(2, np.random.default_rng(0))
         for fn in (spectra, psd_sqrt):
@@ -451,21 +457,17 @@ class TestCallCountGuards:
 
     def test_sweep_creates_no_density_operator(self, monkeypatch):
         made = []
-        init, validated = DensityOperator.__init__, DensityOperator._validated.__func__
+        init = DensityOperator.__init__
 
         def counted_init(self, matrix):
             made.append(1)
             init(self, matrix)
 
-        def counted_validated(cls, stack):
-            made.append(1)
-            return validated(cls, stack)
-
+        # the constructor is the only way to make one, so counting it counts them all
         monkeypatch.setattr(DensityOperator, "__init__", counted_init)
-        monkeypatch.setattr(DensityOperator, "_validated", classmethod(counted_validated))
         run_sweep(RunConfig(seed=1, trials=3, alpha_grid=[0.5, 3.0], dims=[1, 4]))
         assert made == []
-        # both ways of making one are counted
+        # the sampler's operator and the one built from its matrix
         DensityOperator(sample_density(2, np.random.default_rng(0)).matrix)
         assert len(made) == 2
 

@@ -18,6 +18,7 @@ from entropic_sums import (
     check_fidelity_variant,
     check_quantum,
     check_tolerance,
+    classical_checks,
     entropy_sum_diff,
     entropy_term,
     entropy_term_argmax,
@@ -169,6 +170,25 @@ class TestCheckClassical:
         chk = check_classical([1.0, 0.0], [0.0, 1.0], 1, 3.0)  # distance 1 beyond threshold
         assert not chk.bound.applicable
         assert chk.satisfied is None
+
+    def test_stacks_are_checked_row_by_row(self):
+        with pytest.raises(ValueError, match="sum to 0.6"):
+            classical_checks([[0.3, 0.3]], [[0.5, 0.5]], 1)
+        with pytest.raises(ValueError, match="sum to 0.6"):
+            classical_checks([[0.5, 0.5], [0.3, 0.3]], [[0.5, 0.5], [0.5, 0.5]], 1)
+        rng = np.random.default_rng(65)
+        # rows off the simplex by up to the construction tolerance are renormalized as a ProbVector is
+        base = rng.dirichlet(np.ones(5), size=4)
+        p = base * (1.0 + rng.uniform(-5e-10, 5e-10, size=(4, 1)))
+        q = (0.95 * base + 0.05 * rng.dirichlet(np.ones(5), size=4)).tolist()
+        alphas = [0.5, 1.0, 3.0]
+        table = classical_checks(p, q, alphas)
+        assert table.applicable.any()
+        for i in range(4):
+            for j, alpha in enumerate(alphas):
+                for k in range(1, 6):
+                    # repr tells every float apart and matches NaN with NaN
+                    assert repr(table.cell((i, j, k - 1))) == repr(check_classical(p[i], q[i], k, alpha))
 
 
 class TestCheckQuantum:
@@ -391,6 +411,7 @@ class TestAdversarialSearch:
     def test_violation_path_raises_with_witness(self):
         with pytest.raises(BoundViolationError) as exc_info:
             adversarial_search(1, 1.0, 0.1, tol=-1.0)
+        assert str(exc_info.value).startswith("pair achieved 0.23025850929940456 above the bound")
         witness = exc_info.value.witness
         assert witness is not None
         assert witness.achieved > 0.0

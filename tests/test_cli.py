@@ -233,6 +233,15 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
+    @pytest.mark.parametrize("order", ["nan", "inf"])
+    def test_non_finite_order_is_an_input_error_before_any_output(self, capsys, order):
+        assert cli_main(["sweep", "--alpha", order, "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: entropic order must be a positive real, got {order}\n"
+        with pytest.raises(ValueError, match="entropic order"):
+            RunConfig(seed=0, trials=1, alpha_grid=[1.0, float(order)])
+
     def test_runconfig_rejects_empty_dims(self):
         with pytest.raises(ValueError, match="dims"):
             RunConfig(seed=0, trials=1, alpha_grid=[1.0], dims=[])
@@ -287,6 +296,11 @@ class TestPinnedSweepBytes:
 PINNED_COMMANDS = {
     "check-vector-pair": (["check", "V", "W", "--alpha", "0.5,1,2.5"], 0),
     "eval-vector-pair": (["eval", "V", "W", "--alpha", "0.5,1,2.5"], 0),
+    "eval-vector-pair-some-k": (["eval", "V", "W", "--alpha", "0.5,1,2.5", "--k", "2,4"], 0),
+    "eval-vector": (["eval", "V", "--alpha", "0.5,1,2.5"], 0),
+    "eval-density": (["eval", "RHO", "--alpha", "0.5,1,2.5"], 0),
+    "eval-joint": (["eval", "JOINT", "--alpha", "0.5,1,2.5"], 0),
+    "eval-ensemble": (["eval", "ENS", "--alpha", "0.5,1,2.5"], 0),
     "check-past-distance-one": (["check", "P", "FAR", "--alpha", "0.5,1,2.5"], 0),
     "check-density-pair": (["check", "RHO", "SIGMA", "--alpha", "0.5,1,2.5"], 0),
     "eval-density-pair": (["eval", "RHO", "SIGMA", "--alpha", "0.5,1,2.5"], 0),
@@ -309,6 +323,26 @@ PINNED_COMMAND_DIGESTS = {
         "e586bd84e5f19f662c88a967030994f28451134b7dc8d936365513beaecd31f7",
     ("eval-vector-pair", "json"):
         "eba35b08413a0132f2640b0801b364304cb6c5d14259c5c2f748845fea504116",
+    ("eval-vector-pair-some-k", "csv"):
+        "a459336509cc19ea04a8682d81e63d0703dadd71fd2430166e8ffb0a2c3a0209",
+    ("eval-vector-pair-some-k", "json"):
+        "b9293e537f5406a7b29580037806ab8e6fefc884677dff79194aa23529235fab",
+    ("eval-vector", "csv"):
+        "9bf6437804d978af0a02c2ade450fb6eb068909360c06e11d0c1d70c9705be1e",
+    ("eval-vector", "json"):
+        "de35851443bea471d25d0558a7085298bf955fdfbc8fc6d039b47aeb156676ef",
+    ("eval-density", "csv"):
+        "35c778c92307222d7c88c97d73acbc27b503dbb2079fe7755fd7c63d34d8bdbc",
+    ("eval-density", "json"):
+        "64d20a837ab9da052808cfb042439e7e2dba2d969715be55fd9467045677604f",
+    ("eval-joint", "csv"):
+        "c70d5554af6e08fe620091c3d0ae15f3deb0604976759f902b0214f1b70a44d7",
+    ("eval-joint", "json"):
+        "e2702835c3d212c54cec6fd841f6842417bbb68f8d53177cbd0153b2a51a4d37",
+    ("eval-ensemble", "csv"):
+        "daa7d3786653546b64e3a802fc80fb464fa1646a90e3ae639900c85c64f38fa2",
+    ("eval-ensemble", "json"):
+        "be8f044fb5ad287488e72a7e48fd9ac3524532b853da43f03e7f1a824be444f4",
     ("check-past-distance-one", "csv"):
         "3602dc15730c107d24e017bdfca5a8bd56a541fde3458c3f3bbaeb8a4cadff53",
     ("check-past-distance-one", "json"):
@@ -384,6 +418,16 @@ class TestAdversarialCommand:
         assert len(set(outputs)) == 1
         assert cli_main(["adversarial", "--help"]) == 0
         assert "--restarts" not in capsys.readouterr().out
+
+    def test_corrupted_tolerance_fails_every_applicable_cell(self, monkeypatch, capsys):
+        monkeypatch.setenv("ENTROPIC_SUMS_TOL", "-1")
+        assert cli_main(["adversarial", "--alpha", "0.5,2.5", "--k", "1,3", "--eps", "0.05,0.9"]) == 2
+        captured = capsys.readouterr()
+        rows = parse_csv(captured.out)
+        assert [r["satisfied"] for r in rows if r["applicable"] == "true"] == ["false"] * 4
+        assert [r["satisfied"] for r in rows if r["applicable"] == "false"] == [""] * 4
+        # a violated cell is reported by its row and the exit code alone, as in every other command
+        assert captured.err == ""
 
     def test_rows_carry_the_exact_supremum(self, capsys):
         assert cli_main(["adversarial", "--alpha", "1", "--k", "32", "--eps", "0.05"]) == 0

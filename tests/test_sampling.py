@@ -1,5 +1,7 @@
 """Tests for the random instance generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from entropic_sums import (
     sample_povm,
     sample_simplex,
     sample_state_vector,
+    spectra,
 )
 
 
@@ -109,6 +112,27 @@ class TestSampleNear:
         rng = np.random.default_rng(10)
         with pytest.raises(TypeError):
             sample_near(np.ones(3) / 3.0, 0.1, rng)
+
+
+class TestPinnedSamplerBytes:
+    """The scalar samplers' output for a fixed seed, pinned byte for byte: the
+    acceptance suites draw every instance through them. Recorded when the
+    scalar samplers wrapped the stacked ones with stacks of one, with the
+    LAPACK caveat of ``test_cli.TestPinnedSweepBytes`` for the density bytes."""
+
+    def test_digest(self):
+        rng = np.random.default_rng(18)
+        digest = hashlib.sha256()
+        for d in (1, 2, 3, 8):
+            # a capped distance mixes with the fresh draw, an uncapped one returns it
+            for eps in (0.05, float("inf")):
+                p = sample_simplex(d, rng)
+                q = sample_near(p, eps, rng)
+                rho = sample_density(d, rng)
+                sigma = sample_near(rho, eps, rng)
+                for arr in (p.values, q.values, rho.matrix, spectra(rho), sigma.matrix, spectra(sigma)):
+                    digest.update(arr.tobytes())
+        assert digest.hexdigest() == "1f7f39b123e3e77444ef95c057f6ae7fd3fb511dd4a5cb856075955e5b82549a"
 
 
 class TestSamplePOVMAndEnsemble:
