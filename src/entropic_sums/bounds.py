@@ -151,10 +151,11 @@ def _fannes(eps: np.ndarray, ks: np.ndarray, a: Alpha) -> tuple[np.ndarray, np.n
     x0 = entropy_term_argmax(a)
     threshold = np.full(kf.shape, x0) if a.value <= 2.0 else np.minimum(x0, (kf + 1.0) / (kf + 2.0))
     inside = np.minimum(eps, 1.0)
-    term = entropy_term(inside, a)
+    high = a.value > 2.0  # the rhs adds binary_entropy(inside); both its terms come from one call
+    term, *other = entropy_term(np.stack([inside, 1.0 - inside]), a) if high else [entropy_term(inside, a)]
     rhs = inside ** a.value * q_log(kf + 1.0, a) + term
-    if a.value > 2.0:
-        rhs = rhs + (term + entropy_term(1.0 - inside, a))  # binary_entropy(inside)
+    if high:
+        rhs = rhs + (term + other[0])
     rhs = np.where(eps > 1.0, np.nan, rhs)
     threshold = np.broadcast_to(threshold, rhs.shape)
     return rhs, threshold, eps <= threshold
@@ -328,17 +329,6 @@ _ROUNDS = 5
 _ZOOM = np.linspace(-1.0, 1.0, _GRID)
 
 
-def _two_group(k: int, a: Alpha, eps: float, t: np.ndarray):
-    """Row j - 1 of ``t``, j lowered: their x value u and y value, and the gap."""
-    j = np.arange(1.0, k + 1.0)[:, None]
-    r = np.where(j < k, eps - t, 0.0)
-    top = np.minimum(1.0, 1.0 + t - r)
-    u, low, up = top / j, (top - t) / j, r / np.maximum(k - j, 1.0)
-    f_low, f_u, f_up = entropy_term(np.stack([low, u, up]), a)
-    gap = j * (f_low - f_u) + (k - j) * f_up
-    return u, low, gap
-
-
 def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
                        tol: float | None = None) -> AdversarialResult:
     """Largest entropy-sum gap within distance epsilon, and a pair attaining it.
@@ -375,11 +365,12 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
     the maximum over t in [0, epsilon] of
     ``g_j(t) = j [f(u - t/j) - f(u)] + (k - j) f((epsilon - t)/(k - j))``
     with ``j u = min(1, 1 + 2t - epsilon)``; for j = k, ``j u = 1`` and
-    nothing is raised. All rows share one ``(k, _GRID)`` grid of t, and each
-    row zooms to one step either side of its best point, ``_ROUNDS`` rounds
-    in all. g_j is smooth but at t = epsilon/2, the middle of the first grid,
-    and zoomed grids keep their centre, so a maximum on that kink is hit
-    exactly. A row peak narrower than the first step could be missed, but
+    nothing is raised. All rows share one ``(k, _GRID)`` grid of t; a round
+    fills one ``(3, k, _GRID)`` stack with every point's lowered y, lowered x
+    and raised y values and takes f of it in one call. Each row zooms to one
+    step either side of its best point, ``_ROUNDS`` rounds in all. g_j is
+    smooth but at t = epsilon/2, the middle of the first grid, and zoomed
+    grids keep their centre, so a maximum on that kink is hit exactly. A row peak narrower than the first step could be missed, but
     ``achieved``, the :func:`entropy_sum_diff` gap of a feasible pair, never
     exceeds the supremum.
 
@@ -404,14 +395,23 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
 
 def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue) -> AdversarialResult:
     """:func:`adversarial_search` with no verdict, once ``bound``, the bound at ``eps``, is known to apply."""
-    rows = np.arange(k)
+    j = np.arange(1.0, k + 1.0)[:, None]  # row j - 1 of every (k, _GRID) array has j lowered
+    rows, inner, rest, spread = np.arange(k), j < k, k - j, np.maximum(k - j, 1.0)
     t = np.tile(np.linspace(0.0, eps, _GRID), (k, 1))
     half = eps / (_GRID - 1)
-    for _ in range(_ROUNDS - 1):
-        centre = t[rows, _two_group(k, a, eps, t)[2].argmax(axis=1)]
-        t = np.clip(centre[:, None] + half * _ZOOM, 0.0, eps)
-        half *= 2.0 / (_GRID - 1)
-    u, low, gap = _two_group(k, a, eps, t)
+    stack = np.empty((3, k, _GRID))
+    low, u, up = stack  # lowered y, lowered x and raised y values, refilled in place each round
+    for zoom in range(_ROUNDS):
+        if zoom:
+            t = np.clip(t[rows, gap.argmax(axis=1)][:, None] + half * _ZOOM, 0.0, eps)
+            half *= 2.0 / (_GRID - 1)
+        r = np.where(inner, eps - t, 0.0)
+        top = np.minimum(1.0, 1.0 + t - r)
+        np.divide(top - t, j, out=low)
+        np.divide(top, j, out=u)
+        np.divide(r, spread, out=up)
+        f_low, f_u, f_up = entropy_term(stack, a)
+        gap = j * (f_low - f_u) + rest * f_up
     row, i = np.unravel_index(np.argmax(gap), gap.shape)
     x, y = np.zeros(k), np.zeros(k)
     x[:row + 1], y[:row + 1] = u[row, i], low[row, i]

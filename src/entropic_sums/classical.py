@@ -176,7 +176,7 @@ def partial_distances(p, q) -> np.ndarray:
     """
     pv, qv = _values(p), _values(q)
     if pv.shape[-1:] != qv.shape[-1:]:
-        raise ValueError(f"dimension mismatch: {pv.shape} vs {qv.shape}")
+        raise ValueError(f"dimension mismatch: {pv.shape[-1]} vs {qv.shape[-1]}")
     return _top_sums(np.abs(pv - qv))
 
 
@@ -213,8 +213,7 @@ def max_partial_bounds(k: int, alpha: AlphaLike) -> tuple[float, float, float]:
     if k == 1:
         exact = entropy_term(entropy_term_argmax(a), a)
         return exact, exact, 0.0
-    lower = q_log(float(k), a)
-    upper = q_log(float(k + 1), a)
+    lower, upper = q_log(np.array([k, k + 1.0]), a).tolist()
     return lower, upper, 1.0 / (k ** a.value * upper)
 
 

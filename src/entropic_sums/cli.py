@@ -456,6 +456,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _leaf_parsers() -> dict[tuple[str, ...], tuple[_Parser, dict[str, str]]]:
+    """Each subcommand's parser and the values the parsers above it set, keyed by
+    its words, as read off :func:`_build_parser`: ``("demo", "maxbounds")`` maps
+    to that parser and ``{"command": "demo", "demo_command": "maxbounds"}``."""
+    leaves = {}
+
+    def walk(parser, words, names):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            leaves[words] = parser, names
+        for action in subs:
+            for name, child in action.choices.items():
+                walk(child, (*words, name), {**names, action.dest: name})
+
+    walk(_build_parser(), (), {})
+    return leaves
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the subcommand its first words name, as every
+    later word belongs to that parser; any other line (help, a bare ``demo``, an
+    unknown command, an option before the command) by the top-level parser."""
+    leaves = _leaf_parsers()
+    for n in (1, 2):
+        if tuple(argv[:n]) in leaves:
+            leaf, names = leaves[tuple(argv[:n])]
+            return leaf.parse_args(argv[n:], argparse.Namespace(**names))
+    return _build_parser().parse_args(argv)
+
+
 #: What each format sets: the text before its rows, the column-to-text rule,
 #: and the row frame (what precedes each field's value: nothing in CSV, the key
 #: in a JSON object; the field separator; what opens and closes a row).
@@ -496,37 +527,36 @@ def _write_out(batch: Batch, fmt: str, out: str | None) -> bool:
     """:func:`_write` to stdout or to the file ``out``. A regular file is
     written beside its target and renamed over it once complete, so a failed
     run leaves no partial file and an earlier file untouched; a device or a
-    pipe is written in place."""
+    pipe is written in place. A failed write reads ``cannot write OUT``."""
     if out is None:
         return _write(batch, fmt, sys.stdout)
     target = os.path.realpath(out)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            return _write(batch, fmt, fh)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    path = out if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             violated = _write(batch, fmt, fh)
-        os.replace(tmp, target)
+        if not in_place:
+            os.replace(path, target)
     except OSError as exc:
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from None
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     return violated
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help lands here
         return 0 if exc.code in (0, None) else 1
     if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return 1
     try:
         violated = _write_out(args.func(args), args.format, args.out)

@@ -585,10 +585,15 @@ class TestFormatsAndErrors:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
-    def test_dimension_mismatch_files(self, tmp_path):
+    def test_dimension_mismatch_files(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", {"kind": "prob_vector", "values": [1.0]})
         b = write_json(tmp_path / "b.json", {"kind": "prob_vector", "values": [0.5, 0.5]})
         assert cli_main(["check", a, b]) == 1
+        assert capsys.readouterr().err == "error: dimension mismatch: 1 vs 2\n"
+        rho, sigma = (write_json(tmp_path / f"d{d}.json", {"kind": "density", "dim": d, "re": (np.eye(d) / d).tolist(),
+                                                            "im": np.zeros((d, d)).tolist()}) for d in (3, 2))
+        assert cli_main(["check", rho, sigma]) == 1
+        assert capsys.readouterr().err == "error: dimension mismatch: 3 vs 2\n"
 
 
 class TestOutFile:
@@ -602,6 +607,10 @@ class TestOutFile:
         assert captured.err.startswith("error: cannot write ") and str(out) in captured.err
         assert "Traceback" not in captured.err
         assert not out.parent.exists()
+
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert cli_main(["sweep", "--trials", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot write {tmp_path}: Is a directory\n")
 
     def test_failed_run_leaves_an_existing_file_untouched(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -737,6 +746,60 @@ class TestParserReuse:
             fresh = subprocess.run([sys.executable, "-m", "entropic_sums", *argv],
                                    capture_output=True, text=True, env=env, check=False)
             assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+class TestLeafDispatch:
+    """A command line that opens with a subcommand's words is parsed by that
+    subcommand's own parser alone, with the same outcome as through the
+    top-level parser."""
+
+    LINES = [
+        "eval P", "eval P Q --alpha 0.5,1 --k 1", "eval R S --format json", "eval",
+        "check P Q", "check R S --alph 1", "check P Q --alpha=2,3", "check P Q --bogus 1",
+        "check P Q P", "check -- P Q", "check P",
+        "sweep --trials 2 --dims 2", "sweep --trials x", "sweep --trials 1 --dims 2 --seed -1",
+        "adversarial", "adversarial --alpha 2.5 --k 1,2 --eps 0.05", "adversarial --restarts 2 --k 1",
+        "adversarial --eps", "adversarial extra", "adversarial --he",
+        "demo instability", "demo instability --eps 1e-2", "demo bell --alpha 1,3", "demo bell --theta",
+        "demo maxbounds", "demo maxbounds --alpha 0.5 --k 2 --dims 4", "demo maxbounds --dims 4 extra",
+        "--help", "-h", "eval --help", "check -h", "sweep --help", "adversarial -h", "demo --help",
+        "demo -h", "demo instability --help", "demo bell -h", "demo maxbounds --help",
+        "demo", "", "frobnicate", "demo frobnicate", "--seed 1 adversarial",
+    ]
+
+    def run(self, lines, files, capsys):
+        outcomes = []
+        for line in lines:
+            code = cli_main([files.get(word, word) for word in line.split()])
+            outcomes.append((line, code, *capsys.readouterr()))
+        return outcomes
+
+    def test_leaf_parse_matches_the_top_level_parse(self, prob_files, density_files, monkeypatch, capsys):
+        files = dict(zip("PQRS", (*prob_files, *density_files)))
+        monkeypatch.setenv("COLUMNS", "80")
+        leaf = self.run(self.LINES, files, capsys)
+        monkeypatch.setattr(cli, "_leaf_parsers", dict)
+        assert self.run(self.LINES, files, capsys) == leaf
+        assert {code for _, code, *_ in leaf} == {0, 1}
+
+    def test_every_subcommand_is_a_leaf(self):
+        assert set(cli._leaf_parsers()) == {("eval",), ("check",), ("sweep",), ("adversarial",),
+                                            ("demo", "instability"), ("demo", "bell"), ("demo", "maxbounds")}
+
+    @pytest.mark.parametrize("line", ["eval P", "check P Q", "sweep --trials 1", "adversarial --k 1",
+                                      "demo instability", "demo bell", "demo maxbounds"])
+    def test_a_subcommand_line_is_parsed_once(self, prob_files, monkeypatch, capsys, line):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        argv = [{"P": prob_files[0], "Q": prob_files[1]}.get(word, word) for word in line.split()]
+        assert cli_main(argv) == 0
+        assert calls == [f"entropic-sums {' '.join(argv[:2 if argv[0] == 'demo' else 1])}"]
 
 
 @pytest.fixture

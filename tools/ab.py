@@ -1,19 +1,20 @@
 """A/B timing of the package at a git revision against the working tree, in one process.
 
     python3 tools/ab.py REV [--workload {sweep,pairs,search}] [--seed N] [--rounds R]
-    python3 tools/ab.py REV --argv "sweep --trials 200 --format json" [--rounds R]
+    python3 tools/ab.py REV --argv "sweep --trials 200 --format json" [--argv "..." ...] [--rounds R]
 
 Run from anywhere inside a source checkout. ``src/entropic_sums`` at REV is
 exported with ``git archive`` into a temporary directory and imported under
 one alias, the working tree's package under another (``src/`` uses only
 relative imports, so both load side by side). One round of ops is built with
-``bench/workloads.build``; with ``--argv`` the round is that one command line
-(an ``--out`` path in it is replaced by a file in the temporary directory,
-read as the op's output). Every op is run once on each side first, and the
-script fails (exit 1) if any op's output, stderr or exit code differs. Then
-the rounds run op by op, each op on both sides back to back, the side that
-goes first alternating between rounds, so slow drift of the machine falls on
-both sides alike. The last line is a JSON object with each side's sum of
+``bench/workloads.build``; with ``--argv``, which may repeat, the round is
+those command lines (an ``--out`` path in each is replaced by a file of its
+own in the temporary directory, read as the op's output). Every op is run
+once on each side first, each side's ``--out`` file removed before it runs
+(no file reads as no output), and the script fails (exit 1) if any op's
+output, stderr or exit code differs. Then the rounds run op by op, each op
+on both sides back to back, the side that goes first alternating between
+rounds, so slow drift of the machine falls on both sides alike. The last line is a JSON object with each side's sum of
 per-op median times and their ratio (REV over working tree: above 1 means the
 working tree is faster), and the quartiles of the per-round ratio, each
 round's time summed over all ops on either side, which show how far the
@@ -53,7 +54,8 @@ def _parse_args(argv):
     ap.add_argument("--workload", choices=("sweep", "pairs", "search"), default="pairs")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--argv", help="time this one command line in place of a workload round")
+    ap.add_argument("--argv", action="append",
+                    help="time this command line in place of a workload round; repeat for more")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -86,10 +88,22 @@ def _run(cli, op):
         start = time.perf_counter()
         code = cli.cli_main(op.argv)
         elapsed = time.perf_counter() - start
-    if op.out_path is not None:
+    if op.out_path is None:
+        return code, elapsed, out.getvalue(), err.getvalue()
+    try:
         with open(op.out_path, encoding="utf-8") as fh:
             return code, elapsed, fh.read(), err.getvalue()
-    return code, elapsed, out.getvalue(), err.getvalue()
+    except FileNotFoundError:
+        return code, elapsed, "", err.getvalue()
+
+
+def _fresh_run(cli, op):
+    """:func:`_run` with the op's ``--out`` file removed first, so an op that
+    writes none is not read as the other side's output."""
+    if op.out_path is not None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(op.out_path)
+    return _run(cli, op)
 
 
 def main(argv=None) -> int:
@@ -111,12 +125,14 @@ def main(argv=None) -> int:
         if args.argv is None:
             ops = workloads.build(args.workload, args.seed, workdir)
         else:
-            argv, out = shlex.split(args.argv), None
-            if "--out" in argv[:-1]:
-                out = argv[argv.index("--out") + 1] = os.path.join(workdir, "out")
-            ops = [workloads.Op(args.argv, argv, None, out_path=out)]
+            ops = []
+            for n, line in enumerate(args.argv):
+                argv, out = shlex.split(line), None
+                if "--out" in argv[:-1]:
+                    out = argv[argv.index("--out") + 1] = os.path.join(workdir, f"out{n}")
+                ops.append(workloads.Op(line, argv, None, out_path=out))
         for op in ops:
-            (code_a, _, out_a, err_a), (code_b, _, out_b, err_b) = (_run(cli, op) for cli in sides.values())
+            (code_a, _, out_a, err_a), (code_b, _, out_b, err_b) = (_fresh_run(cli, op) for cli in sides.values())
             if (code_a, out_a, err_a) != (code_b, out_b, err_b):
                 print(f"error: {op.name} differs between {args.rev} and the working tree "
                       f"(exit codes {code_a}, {code_b})", file=sys.stderr)
