@@ -50,6 +50,12 @@ def check_tolerance(override: float | None = None) -> float:
     return tol
 
 
+def holds(lhs, rhs, tol: float | None = None):
+    """The verdict ``lhs <= rhs + tol``, elementwise on arrays, ``tol`` resolved by
+    :func:`check_tolerance`: every verdict the package reports comes from here."""
+    return lhs <= rhs + check_tolerance(tol)
+
+
 class BoundViolationError(RuntimeError):
     """A checked bound came out violated; ``witness`` carries the offending data."""
 
@@ -102,8 +108,8 @@ class CheckTable:
     """Bound verifications for every (alpha, k) cell of one pair or of a stack of pairs.
 
     The arrays have shape ``(..., n_alpha, m)``: entry ``[..., i, k-1]`` is
-    the check at order ``alphas[i]`` and index k. ``satisfied`` holds
-    ``lhs <= rhs + tol`` and carries a verdict only where ``applicable``.
+    the check at order ``alphas[i]`` and index k. ``satisfied`` holds the
+    :func:`holds` verdict of lhs against rhs, a verdict only where ``applicable``.
     """
 
     alphas: tuple[Alpha, ...]
@@ -213,7 +219,6 @@ def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None)
     partial sums come from one :func:`classical.partial_sums` call.
     """
     alphas = _orders(alphas)
-    tol = check_tolerance(tol)
     sums = classical.partial_sums(np.stack([values_a, values_b]), alphas)
     eps = np.asarray(distances)[..., None, :]
     shape = np.broadcast_shapes(eps.shape, sums.shape[1:])
@@ -224,7 +229,7 @@ def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None)
     per_order = [_fannes(eps[..., i, :], ks, a) for i, a in enumerate(alphas)]
     rhs, threshold, applicable = (np.stack(col, axis=-2) for col in zip(*per_order))
     return CheckTable(alphas=alphas, lhs=lhs, epsilon=eps, rhs=rhs, threshold=threshold,
-                      applicable=applicable, satisfied=lhs <= rhs + tol, margin=rhs - lhs)
+                      applicable=applicable, satisfied=holds(lhs, rhs, tol), margin=rhs - lhs)
 
 
 def classical_checks(p, q, alphas, tol: float | None = None) -> CheckTable:
@@ -384,8 +389,8 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
         raise ValueError(
             f"epsilon {epsilon} exceeds the applicable threshold {bound.threshold} for k={k}, alpha={a.value}")
     k, eps = int(k), float(epsilon)
-    result = _adversarial(k, a, eps, bound)
-    if result.achieved > bound.rhs + check_tolerance(tol):
+    result = _adversarial(k, a, eps, bound.rhs)
+    if not holds(result.achieved, bound.rhs, tol):
         raise BoundViolationError(
             f"pair achieved {result.achieved} above the bound {bound.rhs} "
             f"(k={k}, alpha={a.value}, eps={eps}); x={result.x.tolist()}, y={result.y.tolist()}",
@@ -393,8 +398,8 @@ def adversarial_search(k: int, alpha: AlphaLike, epsilon: float,
     return result
 
 
-def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue) -> AdversarialResult:
-    """:func:`adversarial_search` with no verdict, once ``bound``, the bound at ``eps``, is known to apply."""
+def _adversarial(k: int, a: Alpha, eps: float, rhs: float) -> AdversarialResult:
+    """:func:`adversarial_search` with no verdict, once ``rhs``, the bound at ``eps``, is known to apply."""
     j = np.arange(1.0, k + 1.0)[:, None]  # row j - 1 of every (k, _GRID) array has j lowered
     rows, inner, rest, spread = np.arange(k), j < k, k - j, np.maximum(k - j, 1.0)
     t = np.tile(np.linspace(0.0, eps, _GRID), (k, 1))
@@ -422,6 +427,6 @@ def _adversarial(k: int, a: Alpha, eps: float, bound: BoundValue) -> Adversarial
     achieved = entropy_sum_diff(y, x, a)
     if _pair_residual(x, y, eps) > FEASIBILITY_TOL:
         raise RuntimeError("the two-group pair is infeasible")
-    tightness = achieved / bound.rhs if bound.rhs > 0.0 else 0.0
-    return AdversarialResult(x=x, y=y, achieved=achieved, bound_rhs=bound.rhs,
+    tightness = achieved / rhs if rhs > 0.0 else 0.0
+    return AdversarialResult(x=x, y=y, achieved=achieved, bound_rhs=rhs,
                              tightness=tightness, iterations=_ROUNDS * k * _GRID + 1)

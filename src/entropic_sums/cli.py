@@ -67,6 +67,11 @@ class ReportRow(NamedTuple):
 CSV_HEADER = ",".join(ReportRow._fields)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass
 class RunConfig:
     """Configuration of one randomized sweep."""
@@ -79,8 +84,7 @@ class RunConfig:
     tolerance: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
@@ -134,10 +138,14 @@ def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[list,
     return tuple(column.ravel().tolist() for column in (eps, lhs, rhs, app, np.where(app, sat, None), margin))
 
 
-def _rows_batch(rows: list[ReportRow]) -> Batch:
-    """The one-trial batch of ``rows``."""
-    columns = list(zip(*rows))[4:10] or [()] * len(_VARYING)
-    return Batch([row[:4] + row[10:] for row in rows], [tuple(columns)])
+def _batch(cells, *, epsilon=None, lhs=None, rhs=None, applicable=None, satisfied=None, margin=None) -> Batch:
+    """The one-trial batch of ``cells`` and the named varying fields, each one value per cell:
+    a field not named is None in every row, and a verdict is kept only where ``applicable``."""
+    none = [None] * len(cells)
+    if satisfied is not None:
+        satisfied = [sat if app else None for app, sat in zip(applicable, satisfied)]
+    return Batch(cells, [(epsilon or none, lhs or none, rhs or none, applicable or none, satisfied or none,
+                          margin or none)])
 
 
 def _batch_rows(cells: list[tuple], chunk: tuple) -> list[tuple]:
@@ -150,7 +158,6 @@ def _sweep_batch(config: RunConfig) -> Batch:
     """The batch of a sweep: inputs checked now, trials run as the chunks are read."""
     dims, alphas = list(config.dims), config.alpha_grid
     k_lists = _k_lists(config.k_policy, dims)
-    tol = bounds.check_tolerance(config.tolerance)
     top = max(dims)
     names = ("sweep_classical", "sweep_quantum")
     grid = [(e, j, i, k) for e in range(2) for j, ks in enumerate(k_lists)
@@ -189,7 +196,7 @@ def _sweep_batch(config: RunConfig) -> Batch:
                 for e, dist in enumerate((partial_distances(p, q), ky_fan_distances(rho, sigma))):
                     distances[:, e, j] = dist[:, -1:]
                     distances[:, e, j, :m] = dist
-            yield _cut(bounds.pair_checks(*values, distances, alphas, tol), trials, index)
+            yield _cut(bounds.pair_checks(*values, distances, alphas, config.tolerance), trials, index)
 
     return Batch(cells, chunks())
 
@@ -213,18 +220,6 @@ def run_sweep(config: RunConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _value_batch(blocks, dim: int, seed: int) -> Batch:
-    """The one-trial batch of ``eval``'s blocks, in order. A block is
-    (experiment, alphas, ks, fields): its cells run alpha-major and k-minor,
-    each named field holds an (n_alpha, len(ks)) grid, the others are None."""
-    cells, columns = [], {name: [] for name in _VARYING}
-    for experiment, alphas, ks, fields in blocks:
-        cells += [(experiment, alpha, k, dim, seed) for alpha in alphas for k in ks]
-        for name, column in columns.items():
-            column += np.ravel(fields[name]).tolist() if name in fields else [None] * (len(alphas) * len(ks))
-    return Batch(cells, [tuple(columns.values())])
-
-
 #: Each instance type that ``eval`` takes alone or in a like pair: its kind and the distribution it sums.
 _EVAL_SUMS = {ProbVector: ("classical", lambda obj: obj.values),
               DensityOperator: ("quantum", spectra),
@@ -243,10 +238,11 @@ def _cmd_eval(args) -> Batch:
         rho = density_from_ensemble(ens)
         joint = povm_joint_probs(ens, povm).flattened()
         ks = _k_lists(args.k, rho.dim)
-        lhs = partial_sums(spectra(rho), alphas)[:, [k - 1 for k in ks]]
-        rhs = partial_sums(joint, alphas)[:, [min(k * povm.n_outcomes, joint.dim) - 1 for k in ks]]
-        fields = {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
-        return _value_batch([("eval_povm_refinement", alphas, ks, fields)], rho.dim, args.seed)
+        lhs = partial_sums(spectra(rho), alphas)[:, [k - 1 for k in ks]].ravel()
+        rhs = partial_sums(joint, alphas)[:, [min(k * povm.n_outcomes, joint.dim) - 1 for k in ks]].ravel()
+        # no verdict: lhs <= rhs holds for the state's spectral ensemble, not for every ensemble
+        cells = [("eval_povm_refinement", alpha, k, rho.dim, args.seed) for alpha in alphas for k in ks]
+        return _batch(cells, lhs=lhs.tolist(), rhs=rhs.tolist(), margin=(rhs - lhs).tolist())
     if len(objs) == 2 and types not in ({ProbVector}, {DensityOperator}):
         raise ValueError("eval supports a single instance, a pair of like instances, "
                          "or an ensemble together with a POVM")
@@ -259,27 +255,27 @@ def _cmd_eval(args) -> Batch:
         raise ValueError("the two instances must have equal dimension")
     ks = _k_lists(args.k, dim)
     at = [k - 1 for k in ks]
-    sums = partial_sums(np.stack(probs), alphas)[..., at]
-    suffixes = ["_a", "_b"] if len(objs) == 2 else [""]
-    blocks = [(f"eval_{kind}_partial_sum{suffix}", alphas, ks, {"lhs": lhs})
-              for suffix, lhs in zip(suffixes, sums)]
-    if len(objs) == 2 and kind == "classical":
-        blocks.append(("eval_partial_distance", [None], ks, {"epsilon": partial_distances(*objs)[at]}))
-    elif len(objs) == 2:
-        blocks += [("eval_kyfan_distance", [None], ks, {"epsilon": ky_fan_distances(*objs)[at]}),
-                   ("eval_partial_fidelity", [None], range(dim + 1), {"lhs": partial_fidelities(*objs)})]
-    return _value_batch(blocks, dim, args.seed)
+    cells = [(f"eval_{kind}_partial_sum{suffix}", alpha, k, dim, args.seed)
+             for suffix in (["_a", "_b"] if len(objs) == 2 else [""]) for alpha in alphas for k in ks]
+    lhs, eps = partial_sums(np.stack(probs), alphas)[..., at].ravel().tolist(), [None] * len(cells)
+    if len(objs) == 2:  # the pair's distances; for density operators, their fidelities too
+        quantum = kind == "quantum"
+        fidelities = partial_fidelities(*objs).tolist() if quantum else []
+        cells += [("eval_kyfan_distance" if quantum else "eval_partial_distance", None, k, dim, args.seed) for k in ks]
+        cells += [("eval_partial_fidelity", None, k, dim, args.seed) for k in range(len(fidelities))]
+        lhs += [None] * len(ks) + fidelities
+        eps += (ky_fan_distances if quantum else partial_distances)(*objs)[at].tolist() + [None] * len(fidelities)
+    return _batch(cells, epsilon=eps, lhs=lhs)
 
 
 def _cmd_check(args) -> Batch:
     first, second = (load_instance(p) for p in args.inputs)
     alphas = args.alpha or [1.0]
-    tol = bounds.check_tolerance()
     if isinstance(first, ProbVector) and isinstance(second, ProbVector):
-        table = bounds.classical_checks(first, second, alphas, tol)
+        table = bounds.classical_checks(first, second, alphas, args.tol)
         experiments = ("check_classical",)
     elif isinstance(first, DensityOperator) and isinstance(second, DensityOperator):
-        table = bounds.density_checks(first, second, alphas, tol)
+        table = bounds.density_checks(first, second, alphas, args.tol)
         experiments = ("check_quantum", "check_fidelity")
     else:
         raise ValueError("check needs two distributions or two density operators")
@@ -293,74 +289,67 @@ def _cmd_check(args) -> Batch:
 
 def _cmd_sweep(args) -> Batch:
     return _sweep_batch(RunConfig(seed=args.seed, trials=args.trials, alpha_grid=args.alpha or [1.0],
-                                  k_policy=args.k, dims=args.dims or [4]))
+                                  k_policy=args.k, dims=args.dims or [4], tolerance=args.tol))
 
 
 def _cmd_adversarial(args) -> Batch:
-    rows: list[ReportRow] = []
-    tol = bounds.check_tolerance()
+    ks, grid = args.k or [1, 2], args.eps or [0.1]
+    cells, lhs, rhs, applicable = [], [], [], []
     for alpha in args.alpha or [1.0]:
-        for k in args.k or [1, 2]:
-            for eps in args.eps or [0.1]:
-                bound = bounds.fannes_bound(eps, k, alpha)
-                lhs = satisfied = margin = None
-                if bound.applicable:
-                    lhs = bounds._adversarial(k, as_alpha(alpha), eps, bound).achieved
-                    satisfied, margin = lhs <= bound.rhs + tol, bound.rhs - lhs
-                rows.append(ReportRow("adversarial", alpha, k, k, eps, lhs, bound.rhs,
-                                      bound.applicable, satisfied, margin, args.seed))
-    return _rows_batch(rows)
+        a = as_alpha(alpha)
+        bound, _, fits = bounds.fannes_bounds([grid], [[k] for k in ks], a)
+        for k, bound_k, fits_k in zip(ks, bound.tolist(), fits.tolist()):
+            cells += [("adversarial", alpha, k, k, args.seed)] * len(grid)
+            lhs += [bounds._adversarial(k, a, eps, r).achieved if fit else None
+                    for eps, r, fit in zip(grid, bound_k, fits_k)]
+            rhs += bound_k
+            applicable += fits_k
+    return _batch(cells, epsilon=grid * (len(cells) // len(grid)), lhs=lhs, rhs=rhs, applicable=applicable,
+                  satisfied=[fit and bounds.holds(x, r, args.tol) for x, r, fit in zip(lhs, rhs, applicable)],
+                  margin=[r - x if fit else None for x, r, fit in zip(lhs, rhs, applicable)])
 
 
 def _cmd_demo_instability(args) -> Batch:
-    rows = []
-    for eps in args.eps or [1e-4]:
-        d1, d2, ratio = instability_example(eps)
-        rows.append(ReportRow("demo_instability", 1.0, 1, 2, eps, d1, d2,
-                              None, None, ratio * eps, args.seed))
-    return _rows_batch(rows)
+    grid = args.eps or [1e-4]
+    d1, d2, ratio = zip(*map(instability_example, grid))
+    return _batch([("demo_instability", 1.0, 1, 2, args.seed)] * len(grid), epsilon=grid, lhs=d1, rhs=d2,
+                  margin=[r * eps for r, eps in zip(ratio, grid)])
 
 
 def _cmd_demo_bell(args) -> Batch:
-    rows = []
-    tol = bounds.check_tolerance()
-    alphas = args.alpha or [1.0]
-    ks = _k_lists(args.k, 2)
+    alphas, ks = args.alpha or [1.0], _k_lists(args.k, 2)
+    cells, reduced, joint_sums, applicable = [], [], [], []
     for theta in args.theta or [np.pi / 6, np.pi / 4]:
         joint = schmidt_pure_state(theta)
-        rho_a = partial_trace(joint, (2, 2), keep="A")
         commuting, distinct = product_monotonicity_preconditions(joint, (2, 2))
-        eig = spectra(rho_a)
+        eig = spectra(partial_trace(joint, (2, 2), keep="A"))
         print(f"theta={theta:.6g}: reduced eigenvalues ({eig[0]:.6g}, {eig[1]:.6g}), "
               f"commuting={commuting}, products_distinct={distinct}", file=sys.stderr)
-        applicable = commuting and distinct
-        experiment = f"demo_bell:theta={theta:.6g}"
-        reduced = partial_sums(eig, alphas).tolist()
-        joint_sums = partial_sums(spectra(joint), alphas).tolist()
-        for i, alpha in enumerate(alphas):
-            for k in ks:
-                lhs, rhs = reduced[i][k - 1], joint_sums[i][2 * k - 1]
-                satisfied = bool(lhs <= rhs + tol) if applicable else None
-                rows.append(ReportRow(experiment, alpha, k, 4, None, lhs, rhs,
-                                      applicable, satisfied, rhs - lhs, args.seed))
-    return _rows_batch(rows)
+        cells += [(f"demo_bell:theta={theta:.6g}", alpha, k, 4, args.seed) for alpha in alphas for k in ks]
+        reduced.append(partial_sums(eig, alphas)[:, [k - 1 for k in ks]])
+        joint_sums.append(partial_sums(spectra(joint), alphas)[:, [2 * k - 1 for k in ks]])
+        applicable += [commuting and distinct] * (len(alphas) * len(ks))
+    lhs, rhs = np.ravel(reduced), np.ravel(joint_sums)
+    return _batch(cells, lhs=lhs.tolist(), rhs=rhs.tolist(), applicable=applicable,
+                  satisfied=bounds.holds(lhs, rhs, args.tol).tolist(), margin=(rhs - lhs).tolist())
 
 
 def _cmd_demo_maxbounds(args) -> Batch:
-    rows = []
-    tol = bounds.check_tolerance()
     dims = args.dims or [6]
+    cells, lower, found, upper, applicable, satisfied = [], [], [], [], [], []
     for m, ks in zip(dims, _k_lists(args.k, dims)):
         for alpha in args.alpha or [1.0]:
             for k in ks:
-                lower, upper, _cap = max_partial_bounds(k, alpha)
-                found = max_partial_sum(m, k, alpha)
-                # the bracket holds from m = 2 on; one point carries no entropy
-                applicable = m >= 2
-                satisfied = bool(lower - tol <= found <= upper + tol) if applicable else None
-                rows.append(ReportRow("demo_maxbounds", alpha, k, m, lower, found, upper,
-                                      applicable, satisfied, upper - found, args.seed))
-    return _rows_batch(rows)
+                low, up, _cap = max_partial_bounds(k, alpha)
+                x = max_partial_sum(m, k, alpha)
+                cells.append(("demo_maxbounds", alpha, k, m, args.seed))
+                lower.append(low)
+                found.append(x)
+                upper.append(up)
+                applicable.append(m >= 2)  # the bracket holds from m = 2 on; one point carries no entropy
+                satisfied.append(bounds.holds(low, x, args.tol) and bounds.holds(x, up, args.tol))
+    return _batch(cells, epsilon=lower, lhs=found, rhs=upper, applicable=applicable, satisfied=satisfied,
+                  margin=[up - x for x, up in zip(found, upper)])
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +548,8 @@ def cli_main(argv=None) -> int:
         _build_parser().print_usage(sys.stderr)
         return 1
     try:
+        _check_seed(args.seed)
+        args.tol = bounds.check_tolerance()
         violated = _write_out(args.func(args), args.format, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

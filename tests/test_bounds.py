@@ -306,6 +306,14 @@ class TestToleranceOverride:
         with pytest.raises(ValueError, match="ENTROPIC_SUMS_TOL"):
             check_classical([0.6, 0.4], [0.5, 0.5], 1, 1.0)
 
+    def test_holds_gives_a_bool_per_float_and_an_array_per_array(self):
+        # one-row commands put the verdict into a column of Python values, so a float pair gives a bool
+        assert bounds.holds(1.0, 1.0 - 5e-10) is True
+        assert bounds.holds(1.0, 1.0 - 2e-9) is False
+        assert bounds.holds(0.0, 0.0, tol=-1.0) is False
+        verdicts = bounds.holds(np.array([0.5, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+        assert verdicts.dtype == bool and verdicts.tolist() == [True, True, False]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_override_is_rejected(self, value):
         with pytest.raises(ValueError, match="override"):

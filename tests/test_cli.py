@@ -17,12 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropic_sums.cli as cli
-from entropic_sums import RunConfig, bounds, cli_main, max_partial_sum, run_sweep
+from entropic_sums import RunConfig, bounds, cli_main, max_partial_sum, run_sweep, sample_ensemble, sample_povm
 from entropic_sums.cli import CSV_HEADER, ReportRow
 from entropic_sums.serialize import fmt_cell, json_column
 
 #: Values of ENTROPIC_SUMS_TOL that every command must reject with exit 1.
 NON_FINITE_TOLS = ["nan", "inf", "-inf", "abc"]
+
+#: One command line per subcommand; "P" and "Q" name the files of ``prob_files``.
+SUBCOMMAND_LINES = ["eval P", "check P Q", "sweep --trials 1", "adversarial --k 1",
+                    "demo instability", "demo bell", "demo maxbounds"]
 
 
 def write_json(path, doc):
@@ -103,6 +107,21 @@ class TestEvalCommand:
         lhs = ([json.loads(line)["lhs"] for line in out.splitlines()] if fmt == "json"
                else [float(r["lhs"]) for r in parse_csv(out)])
         assert lhs == [0.0] * 4
+
+    def test_povm_refinement_carries_no_verdict(self, tmp_path, capsys):
+        # the reduced sums stay below the joint ones for the state's spectral ensemble, not
+        # for every ensemble: this one's k = 2 sum at order 5 is above its joint sum
+        rng = np.random.default_rng(197)
+        ens, povm = sample_ensemble(2, 3, rng), sample_povm(2, 4, rng)
+        files = [write_json(tmp_path / "ens.json", {"kind": "ensemble", "weights": ens.weights.values.tolist(),
+                                                    "states_re": ens.states.real.tolist(),
+                                                    "states_im": ens.states.imag.tolist()}),
+                 write_json(tmp_path / "povm.json", {"kind": "povm", "vectors_re": povm.vectors.real.tolist(),
+                                                     "vectors_im": povm.vectors.imag.tolist()})]
+        assert cli_main(["eval", *files, "--alpha", "5", "--k", "2"]) == 0
+        [row] = parse_csv(capsys.readouterr().out)
+        assert float(row["margin"]) == pytest.approx(-1.02e-3, abs=5e-6)
+        assert (row["applicable"], row["satisfied"]) == ("", "")
 
     def test_povm_alone_is_an_error(self, tmp_path, capsys):
         povm = write_json(tmp_path / "povm.json", {
@@ -786,8 +805,7 @@ class TestLeafDispatch:
         assert set(cli._leaf_parsers()) == {("eval",), ("check",), ("sweep",), ("adversarial",),
                                             ("demo", "instability"), ("demo", "bell"), ("demo", "maxbounds")}
 
-    @pytest.mark.parametrize("line", ["eval P", "check P Q", "sweep --trials 1", "adversarial --k 1",
-                                      "demo instability", "demo bell", "demo maxbounds"])
+    @pytest.mark.parametrize("line", SUBCOMMAND_LINES)
     def test_a_subcommand_line_is_parsed_once(self, prob_files, monkeypatch, capsys, line):
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -800,6 +818,61 @@ class TestLeafDispatch:
         argv = [{"P": prob_files[0], "Q": prob_files[1]}.get(word, word) for word in line.split()]
         assert cli_main(argv) == 0
         assert calls == [f"entropic-sums {' '.join(argv[:2 if argv[0] == 'demo' else 1])}"]
+
+
+class TestEverySubcommand:
+    """Checks on the seed and the tolerance that each subcommand makes before any output."""
+
+    def run(self, line, prob_files):
+        return cli_main([{"P": prob_files[0], "Q": prob_files[1]}.get(word, word) for word in line.split()])
+
+    @pytest.mark.parametrize("line", SUBCOMMAND_LINES)
+    def test_negative_seed_is_an_input_error(self, prob_files, capsys, line):
+        assert self.run(line + " --seed -1", prob_files) == 1
+        assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -1\n")
+
+    @pytest.mark.parametrize("value", NON_FINITE_TOLS)
+    @pytest.mark.parametrize("line", SUBCOMMAND_LINES)
+    def test_non_finite_tolerance_is_an_input_error(self, prob_files, monkeypatch, capsys, line, value):
+        monkeypatch.setenv("ENTROPIC_SUMS_TOL", value)
+        assert self.run(line, prob_files) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ENTROPIC_SUMS_TOL must be a finite number")
+
+
+def never(lhs, rhs, tol=None):
+    """A verdict function that finds every inequality violated."""
+    return np.zeros(np.shape(lhs), bool) if np.ndim(lhs) else False
+
+
+class TestVerdictRouting:
+    """Every verdict a command prints comes from ``bounds.holds``."""
+
+    @pytest.mark.parametrize("argv", [
+        PINNED_COMMANDS["check-vector-pair"][0], PINNED_COMMANDS["check-density-pair"][0],
+        ["sweep", "--alpha", "0.5,1,3", "--dims", "2,4", "--trials", "5"],
+        PINNED_COMMANDS["adversarial"][0], PINNED_COMMANDS["demo-maxbounds"][0],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_a_false_verdict_fails_every_applicable_cell(self, instance_files, monkeypatch, capsys, argv):
+        monkeypatch.setattr(bounds, "holds", never)
+        assert cli_main([instance_files.get(tok, tok) for tok in argv]) == 2
+        rows = parse_csv(capsys.readouterr().out)
+        assert {r["satisfied"] for r in rows if r["applicable"] == "true"} == {"false"}
+        assert {r["satisfied"] for r in rows if r["applicable"] != "true"} <= {""}
+
+    def test_bell_decides_every_cell_with_it(self, monkeypatch, capsys):
+        # no cell of the demo's states is applicable, so a false verdict would not show
+        calls = []
+        holds = bounds.holds
+
+        def spy(lhs, rhs, tol=None):
+            calls.append(np.size(lhs))
+            return holds(lhs, rhs, tol)
+
+        monkeypatch.setattr(bounds, "holds", spy)
+        assert cli_main(["demo", "bell", "--alpha", "0.5,1,2.5"]) == 0
+        assert sum(calls) == len(parse_csv(capsys.readouterr().out)) == 12
 
 
 @pytest.fixture
@@ -908,6 +981,12 @@ CELLS = {
 CELLS["mixed"] = st.one_of(*CELLS.values())
 
 
+def rows_batch(rows: list) -> cli.Batch:
+    """The one-trial batch of ``rows``, its varying fields transposed into columns."""
+    columns = list(zip(*rows))[4:10] or [()] * 6
+    return cli.Batch([row[:4] + row[10:] for row in rows], [tuple(columns)])
+
+
 @st.composite
 def report_rows(draw):
     n = draw(st.integers(0, 6))
@@ -923,7 +1002,7 @@ class TestColumnWriter:
     @given(report_rows())
     def test_csv_matches_fmt_cell_per_cell(self, rows):
         buf = io.StringIO()
-        cli._write(cli._rows_batch(rows), "csv", buf)
+        cli._write(rows_batch(rows), "csv", buf)
         expected = "".join(line + "\n" for line in
                            [CSV_HEADER] + [",".join(map(fmt_cell, row)) for row in rows])
         assert buf.getvalue() == expected
@@ -932,7 +1011,7 @@ class TestColumnWriter:
     @given(report_rows())
     def test_json_matches_json_dumps_per_row(self, rows):
         buf = io.StringIO()
-        cli._write(cli._rows_batch(rows), "json", buf)
+        cli._write(rows_batch(rows), "json", buf)
         expected = "".join(json.dumps(dict(zip(ReportRow._fields, row))) + "\n" for row in rows)
         assert buf.getvalue() == expected
 
