@@ -10,15 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, quantum
-from .entropy import (
-    Alpha,
-    AlphaLike,
-    as_alpha,
-    entropy_gap_bound,
-    entropy_term,
-    entropy_term_argmax,
-    q_log,
-)
+from .entropy import (Alpha, AlphaLike, _qlog, _term, as_alpha, entropy_gap_bound, entropy_term,
+                      entropy_term_argmax)
 
 #: Tolerance for inequality verdicts.
 DEFAULT_CHECK_TOL = 1e-9
@@ -144,7 +137,7 @@ def _checked(epsilon, ks) -> tuple[np.ndarray, np.ndarray]:
     """``epsilon`` and ``ks`` as arrays, once every k is known to be a positive
     integer and every distance finite and nonnegative."""
     ks = np.asarray(ks)
-    if np.any(ks != np.floor(ks)) or np.any(ks < 1):
+    if np.any(ks != np.floor(ks)) or np.any(ks < 1) or np.any(ks == np.inf):
         raise ValueError("k must be a positive integer")
     eps = np.asarray(epsilon, dtype=float)
     _check_distances(eps)
@@ -158,8 +151,8 @@ def _fannes(eps: np.ndarray, ks: np.ndarray, a: Alpha) -> tuple[np.ndarray, np.n
     threshold = np.full(kf.shape, x0) if a.value <= 2.0 else np.minimum(x0, (kf + 1.0) / (kf + 2.0))
     inside = np.minimum(eps, 1.0)
     high = a.value > 2.0  # the rhs adds binary_entropy(inside); both its terms come from one call
-    term, *other = entropy_term(np.stack([inside, 1.0 - inside]), a) if high else [entropy_term(inside, a)]
-    rhs = inside ** a.value * q_log(kf + 1.0, a) + term
+    term, *other = _term(np.stack([inside, 1.0 - inside]), a) if high else [_term(np.asarray(inside), a)]
+    rhs = inside ** a.value * _qlog(np.asarray(kf + 1.0), a) + term
     if high:
         rhs = rhs + (term + other[0])
     rhs = np.where(eps > 1.0, np.nan, rhs)
@@ -292,7 +285,7 @@ def check_fidelity_variant(rho, sigma, k: int, alpha: AlphaLike, tol: float | No
 def stability_threshold(k: int, alpha: AlphaLike) -> float:
     """Upper end of the stability interval: min of the term argmax and (k+1)/(k+2)."""
     a = as_alpha(alpha)
-    if int(k) != k or k < 1:
+    if not classical._positive_int(k):
         raise ValueError("k must be a positive integer")
     return min(entropy_term_argmax(a), (k + 1) / (k + 2))
 
@@ -408,23 +401,25 @@ def _adversarial(k: int, a: Alpha, eps: float, rhs: float) -> AdversarialResult:
     low, u, up = stack  # lowered y, lowered x and raised y values, refilled in place each round
     for zoom in range(_ROUNDS):
         if zoom:
-            t = np.clip(t[rows, gap.argmax(axis=1)][:, None] + half * _ZOOM, 0.0, eps)
+            t = t[rows, gap.argmax(axis=1)][:, None] + half * _ZOOM
+            np.minimum(np.maximum(t, 0.0, out=t), eps, out=t)
             half *= 2.0 / (_GRID - 1)
         r = np.where(inner, eps - t, 0.0)
         top = np.minimum(1.0, 1.0 + t - r)
         np.divide(top - t, j, out=low)
         np.divide(top, j, out=u)
         np.divide(r, spread, out=up)
-        f_low, f_u, f_up = entropy_term(stack, a)
+        f_low, f_u, f_up = _term(stack, a)
         gap = j * (f_low - f_u) + rest * f_up
-    row, i = np.unravel_index(np.argmax(gap), gap.shape)
+    row, i = divmod(int(np.argmax(gap)), _GRID)
     x, y = np.zeros(k), np.zeros(k)
     x[:row + 1], y[:row + 1] = u[row, i], low[row, i]
     # raise by the budget the rounded pair leaves, not by eps - t, so the pair stays within eps
     y[row + 1:] = max(0.0, eps - np.abs(x - y).sum()) / max(k - row - 1, 1)
-    if k * entropy_term(eps / k, a) >= gap[row, i]:
+    if k * _term(np.asarray(eps / k), a) >= gap[row, i]:
         x, y = np.zeros(k), np.full(k, eps / k)
-    achieved = entropy_sum_diff(y, x, a)
+    f_y, f_x = _term(np.stack([y, x]), a).sum(axis=1)
+    achieved = float(f_y - f_x)
     if _pair_residual(x, y, eps) > FEASIBILITY_TOL:
         raise RuntimeError("the two-group pair is infeasible")
     tightness = achieved / rhs if rhs > 0.0 else 0.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entropy import AlphaLike, as_alpha, entropy_term, entropy_term_argmax, q_log
+from .entropy import AlphaLike, _qlog, _term, as_alpha, entropy_term, entropy_term_argmax
 
 #: Construction tolerance for simplex membership. Entries no lower than
 #: -SIMPLEX_TOL are clamped to zero and the vector is renormalized, so
@@ -107,8 +107,13 @@ def _values(p) -> np.ndarray:
     return p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
 
 
+def _positive_int(k) -> bool:
+    """Whether k is a positive integer; an infinite k is not one (``int`` overflows on it)."""
+    return k not in (np.inf, -np.inf) and int(k) == k and k >= 1
+
+
 def _check_k(k: int, m: int) -> int:
-    if int(k) != k or not 1 <= k <= m:
+    if not _positive_int(k) or k > m:
         raise ValueError(f"k must be an integer in [1, {m}], got {k!r}")
     return int(k)
 
@@ -208,12 +213,12 @@ def max_partial_bounds(k: int, alpha: AlphaLike) -> tuple[float, float, float]:
     ``1/(k**alpha * q_log(k+1))``.
     """
     a = as_alpha(alpha)
-    if int(k) != k or k < 1:
+    if not _positive_int(k):
         raise ValueError("k must be a positive integer")
     if k == 1:
-        exact = entropy_term(entropy_term_argmax(a), a)
+        exact = float(_term(np.asarray(entropy_term_argmax(a)), a))
         return exact, exact, 0.0
-    lower, upper = q_log(np.array([k, k + 1.0]), a).tolist()
+    lower, upper = _qlog(np.array([k, k + 1.0]), a).tolist()
     return lower, upper, 1.0 / (k ** a.value * upper)
 
 
@@ -231,8 +236,8 @@ def max_partial_sum(m: int, k: int, alpha: AlphaLike) -> float:
         raise ValueError("m must be a positive integer")
     k = _check_k(k, int(m))
     if m == k:
-        return q_log(float(k), a)
-    return k * entropy_term(min(entropy_term_argmax(a), 1.0 / k), a)
+        return float(_qlog(np.asarray(float(k)), a))
+    return k * float(_term(np.asarray(min(entropy_term_argmax(a), 1.0 / k)), a))
 
 
 def instability_example(eps: float) -> tuple[float, float, float]:

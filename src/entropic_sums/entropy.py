@@ -6,6 +6,14 @@ entropy term ``(x**alpha - x)/(1 - alpha)``. Both are ratios of vanishing
 quantities as alpha approaches 1, so each is evaluated as
 ``expm1(c log x)/c`` (see :func:`_ratio`), one formula for every order that
 keeps its relative accuracy next to the Shannon limit ``log x``, ``-x log x``.
+
+Each public function checks its range and returns a float for a 0-d argument;
+its private core, :func:`_qlog` or :func:`_term`, holds the formula unchecked.
+Cores are called only on arguments in range by construction (``bounds._fannes``,
+``bounds._adversarial``, ``classical.max_partial_bounds``, ``max_partial_sum``;
+README, "Batched core", says why each is), and a single value goes to a core as
+a 0-d array, never a numpy scalar: below order 1 ``np.float64 ** a`` calls
+libm's ``pow``, an array numpy's vectorized loop, and the last bits can differ.
 """
 
 from __future__ import annotations
@@ -56,10 +64,15 @@ def q_log(x, alpha: AlphaLike):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < np.inf)):
         raise ValueError("q_log requires strictly positive finite arguments")
+    out = _qlog(arr, a)
+    return float(out) if out.ndim == 0 else out
+
+
+def _qlog(arr: np.ndarray, a: Alpha):
+    """:func:`q_log` of a float array whose entries are positive and finite, unchecked."""
     log, c = np.log(arr), 1.0 - a.value
     flip = c * log > 0.0
-    out = np.where(flip, -arr ** c, 1.0) * _ratio(np.where(flip, -log, log), c) + 0.0
-    return float(out) if out.ndim == 0 else out
+    return np.where(flip, -arr ** c, 1.0) * _ratio(np.where(flip, -log, log), c) + 0.0
 
 
 def entropy_term(x, alpha: AlphaLike):
@@ -76,10 +89,15 @@ def entropy_term(x, alpha: AlphaLike):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("entropy_term requires arguments in [0, 1]")
+    out = _term(arr, a)
+    return float(out) if out.ndim == 0 else out
+
+
+def _term(arr: np.ndarray, a: Alpha):
+    """:func:`entropy_term` of a float array whose entries lie in [0, 1], unchecked."""
     w = arr if a.value >= 1.0 else arr ** a.value
     log = np.log(np.where(arr > 0.0, arr, 1.0))
-    out = -w * _ratio(log, abs(a.value - 1.0)) + 0.0  # + 0.0 turns -0.0 into +0.0
-    return float(out) if out.ndim == 0 else out
+    return -w * _ratio(log, abs(a.value - 1.0)) + 0.0  # + 0.0 turns -0.0 into +0.0
 
 
 def entropy_term_argmax(alpha: AlphaLike) -> float:

@@ -18,14 +18,18 @@ from entropic_sums import (
     check_fidelity_variant,
     check_quantum,
     check_tolerance,
+    classical,
     classical_checks,
     entropy_sum_diff,
     entropy_term,
     entropy_term_argmax,
     fannes_bound,
+    fannes_bounds,
     instability_example,
     kolmogorov_distance,
     ky_fan_distance,
+    max_partial_bounds,
+    max_partial_sum,
     partial_fidelity,
     partial_sum,
     q_log,
@@ -101,6 +105,10 @@ class TestFannesBound:
             fannes_bound(-0.1, 1, 1.0)
         with pytest.raises(ValueError):
             fannes_bound(0.1, 0, 1.0)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            fannes_bound(0.1, float("inf"), 1.0)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            fannes_bounds([0.1, 0.2], [2, np.inf], 1.0)
 
 
 class TestEntropySumDiff:
@@ -336,6 +344,9 @@ class TestStability:
             stability_delta(0.0, 2, 1.5)
         with pytest.raises(ValueError):
             stability_delta(eps0 * 1.01, 2, 1.5)
+        for k in (0, 1.5, float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                stability_threshold(k, 1.5)
 
     def test_vanishes_at_origin(self):
         for a in (1.5, 3.0):
@@ -554,6 +565,44 @@ class TestExactSupremum:
 
     def test_tight_at_large_k(self):
         assert adversarial_search(32, 1.0, 0.05).tightness >= 0.99
+
+
+class TestKernelCores:
+    """The unchecked kernels ``_term`` and ``_qlog`` are only ever handed
+    arrays in their range by the callers that skip the public checks."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        seen = {"_term": 0, "_qlog": 0}
+
+        def spy(name, core, ok):
+            def checked(arr, a):
+                assert type(arr) is np.ndarray and arr.dtype == float, type(arr)
+                assert np.all(ok(arr)), arr
+                seen[name] += 1
+                return core(arr, a)
+            return checked
+
+        in_range = {"_term": lambda v: (v >= 0.0) & (v <= 1.0), "_qlog": lambda v: (v > 0.0) & (v < np.inf)}
+        for module in (bounds, classical):
+            for name, ok in in_range.items():
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name), ok))
+        return seen
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 1.0 + 1e-7, 2.5, 5.0, 10.0])
+    def test_arguments_in_range(self, spied, a):
+        for k in (1, 2, 3, 4, 8, 32):
+            threshold = fannes_bound(0.0, k, a).threshold
+            grid = np.linspace(0.0, threshold, 9)
+            fannes_bounds(grid, k, a)
+            fannes_bounds(grid[:, None], np.arange(1, k + 1), a)
+            for eps in grid:
+                res = adversarial_search(k, a, float(eps))
+                assert res.achieved == entropy_sum_diff(res.y, res.x, a)
+            max_partial_bounds(k, a)
+            for m in (k, k + 1, 2 * k + 1):
+                max_partial_sum(m, k, a)
+        assert spied["_term"] > 0 and spied["_qlog"] > 0
 
 
 class TestFullEntropyCouplingBound:

@@ -91,6 +91,8 @@ class TestSumLargestAbs:
             sum_largest_abs([1.0, 2.0], 0)
         with pytest.raises(ValueError):
             sum_largest_abs([1.0, 2.0], 3)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            sum_largest_abs([1.0, 2.0], float("inf"))
 
 
 class TestPartialSum:
@@ -256,6 +258,11 @@ class TestMaxPartialBounds:
         for k in (6, 8, 12):
             assert max_partial_bounds(k, 1.0)[2] < 0.1
 
+    def test_input_validation(self):
+        for k in (0, 1.5, float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                max_partial_bounds(k, 1.0)
+
 
 def equal_split(m, k, alpha):
     """The maximizing point: the uniform one when m = k, else k entries at
@@ -302,6 +309,8 @@ class TestMaxPartialSum:
             max_partial_sum(3, 4, 1.0)
         with pytest.raises(ValueError):
             max_partial_sum(0, 1, 1.0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            max_partial_sum(3, float("inf"), 1.0)
 
 
 class TestInstabilityExample:

@@ -16,9 +16,11 @@ output, stderr or exit code differs. Then the rounds run op by op, each op
 on both sides back to back, the side that goes first alternating between
 rounds, so slow drift of the machine falls on both sides alike. The last line is a JSON object with each side's sum of
 per-op median times and their ratio (REV over working tree: above 1 means the
-working tree is faster), and the quartiles of the per-round ratio, each
-round's time summed over all ops on either side, which show how far the
-ratio spreads from round to round.
+working tree is faster); ``mean_ratio``, the ratio of the two sides' total op
+time over all rounds, which is what ``bench/run.py``'s ``ops_per_s`` compares
+(op count over summed op time), so slow tail ops count in it as they do there;
+and the quartiles of the per-round ratio, each round's time summed over all ops
+on either side, which show how far the ratio spreads from round to round.
 
 BLAS runs single-threaded, no bytecode is written, and inputs and the export
 live in temporary directories that are removed on exit.
@@ -152,7 +154,7 @@ def main(argv=None) -> int:
     run = {"workload": args.workload, "seed": args.seed} if args.argv is None else {"argv": args.argv}
     print(json.dumps({"rev": args.rev, **run, "rounds": args.rounds, "ops": len(ops),
                       "rev_ms": round(rev_ms, 3), "tree_ms": round(tree_ms, 3),
-                      "ratio": round(rev_ms / tree_ms, 4),
+                      "ratio": round(rev_ms / tree_ms, 4), "mean_ratio": round(sum(rev_rounds) / sum(tree_rounds), 4),
                       "round_ratio_quartiles": [round(q, 4) for q in quartiles]}))
     return 0
 
