@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, quantum
-from .entropy import (Alpha, AlphaLike, _qlog, _term, as_alpha, entropy_gap_bound, entropy_term,
-                      entropy_term_argmax)
+from .entropy import (Alpha, AlphaLike, _count, _qlog, _term, as_alpha, entropy_gap_bound,
+                      entropy_term, entropy_term_argmax)
 
 #: Tolerance for inequality verdicts.
 DEFAULT_CHECK_TOL = 1e-9
@@ -136,9 +136,10 @@ def _check_distances(eps) -> None:
 def _checked(epsilon, ks) -> tuple[np.ndarray, np.ndarray]:
     """``epsilon`` and ``ks`` as arrays, once every k is known to be a positive
     integer and every distance finite and nonnegative."""
-    ks = np.asarray(ks)
-    if np.any(ks != np.floor(ks)) or np.any(ks < 1) or np.any(ks == np.inf):
-        raise ValueError("k must be a positive integer")
+    ks = np.asarray(ks)  # the rule of entropy._count, with an integer or float dtype
+    if ks.dtype.kind not in "iuf" or not np.all((ks >= 1) & (ks < np.inf) & (ks == np.floor(ks))):
+        for k in [*ks.ravel().tolist(), ks]:  # raises on the first entry that is not a count, else on ks
+            _count(k, "k")
     eps = np.asarray(epsilon, dtype=float)
     _check_distances(eps)
     return eps, ks
@@ -266,27 +267,26 @@ def density_checks(rho, sigma, alphas, tol: float | None = None) -> CheckTable:
 def check_classical(p, q, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:
     """One cell of :func:`classical_checks`."""
     p, q = classical._as_prob(p), classical._as_prob(q)
-    k = classical._check_k(k, p.dim)
+    k = _count(k, "k", high=p.dim)
     return classical_checks(p, q, alpha, tol).cell((0, k - 1))
 
 
 def check_quantum(rho, sigma, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:
     """One cell of :func:`quantum_checks`."""
-    k = classical._check_k(k, rho.dim)
+    k = _count(k, "k", high=rho.dim)
     return quantum_checks(rho, sigma, alpha, tol).cell((0, k - 1))
 
 
 def check_fidelity_variant(rho, sigma, k: int, alpha: AlphaLike, tol: float | None = None) -> InequalityCheck:
     """One cell of :func:`fidelity_checks`."""
-    k = classical._check_k(k, rho.dim)
+    k = _count(k, "k", high=rho.dim)
     return fidelity_checks(rho, sigma, alpha, tol).cell((0, k - 1))
 
 
 def stability_threshold(k: int, alpha: AlphaLike) -> float:
     """Upper end of the stability interval: min of the term argmax and (k+1)/(k+2)."""
     a = as_alpha(alpha)
-    if not classical._positive_int(k):
-        raise ValueError("k must be a positive integer")
+    k = _count(k, "k")
     return min(entropy_term_argmax(a), (k + 1) / (k + 2))
 
 

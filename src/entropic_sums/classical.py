@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entropy import AlphaLike, _qlog, _term, as_alpha, entropy_term, entropy_term_argmax
+from .entropy import AlphaLike, _count, _qlog, _term, as_alpha, entropy_term, entropy_term_argmax
 
 #: Construction tolerance for simplex membership. Entries no lower than
 #: -SIMPLEX_TOL are clamped to zero and the vector is renormalized, so
@@ -96,7 +96,7 @@ class JointDistribution:
 
     def flattened(self) -> ProbVector:
         """The grid read as a single distribution on rows * cols points."""
-        return ProbVector(self._values.ravel())
+        return ProbVector._validated(self._values.ravel())
 
 
 def _as_prob(p) -> ProbVector:
@@ -105,17 +105,6 @@ def _as_prob(p) -> ProbVector:
 
 def _values(p) -> np.ndarray:
     return p.values if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
-
-
-def _positive_int(k) -> bool:
-    """Whether k is a positive integer; an infinite k is not one (``int`` overflows on it)."""
-    return k not in (np.inf, -np.inf) and int(k) == k and k >= 1
-
-
-def _check_k(k: int, m: int) -> int:
-    if not _positive_int(k) or k > m:
-        raise ValueError(f"k must be an integer in [1, {m}], got {k!r}")
-    return int(k)
 
 
 def _top_sums(x) -> np.ndarray:
@@ -132,7 +121,7 @@ def sum_largest_abs(x, k: int) -> float:
     With k equal to the length this is the l1 norm; k = 1 gives the max norm.
     """
     arr = np.asarray(x, dtype=float).ravel()
-    k = _check_k(k, arr.size)
+    k = _count(k, "k", high=arr.size)
     return float(_top_sums(np.abs(arr))[k - 1])
 
 
@@ -160,7 +149,7 @@ def partial_sum(p, k: int, alpha: AlphaLike) -> float:
     function peaks strictly inside (0, 1), so the two orderings differ.
     """
     p = _as_prob(p)
-    k = _check_k(k, p.dim)
+    k = _count(k, "k", high=p.dim)
     return float(partial_sums(p, alpha)[0, k - 1])
 
 
@@ -191,7 +180,7 @@ def partial_distance(p, q, k: int) -> float:
     Nondecreasing in k; at k = m it equals twice the Kolmogorov distance.
     """
     p, q = _as_prob(p), _as_prob(q)
-    k = _check_k(k, p.dim)
+    k = _count(k, "k", high=p.dim)
     return float(partial_distances(p, q)[k - 1])
 
 
@@ -213,8 +202,7 @@ def max_partial_bounds(k: int, alpha: AlphaLike) -> tuple[float, float, float]:
     ``1/(k**alpha * q_log(k+1))``.
     """
     a = as_alpha(alpha)
-    if not _positive_int(k):
-        raise ValueError("k must be a positive integer")
+    k = _count(k, "k")
     if k == 1:
         exact = float(_term(np.asarray(entropy_term_argmax(a)), a))
         return exact, exact, 0.0
@@ -232,9 +220,8 @@ def max_partial_sum(m: int, k: int, alpha: AlphaLike) -> float:
     to the uncounted points, and the maximum is ``k * entropy_term(min(x*, 1/k))``.
     """
     a = as_alpha(alpha)
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    k = _check_k(k, int(m))
+    m = _count(m, "m")
+    k = _count(k, "k", high=m)
     if m == k:
         return float(_qlog(np.asarray(float(k)), a))
     return k * float(_term(np.asarray(min(entropy_term_argmax(a), 1.0 / k)), a))

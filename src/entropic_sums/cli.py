@@ -31,7 +31,7 @@ from .classical import (
     partial_distances,
     partial_sums,
 )
-from .entropy import as_alpha
+from .entropy import _count, as_alpha
 from .quantum import (
     DensityOperator,
     PureEnsemble,
@@ -91,6 +91,9 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if len(self.dims) == 0:
             raise ValueError("dims must name at least one dimension")
+        self.dims = [_count(d, "dimension") for d in self.dims]
+        if self.k_policy not in (None, "all"):
+            self.k_policy = [_count(k, "k") for k in self.k_policy]
         if not self.alpha_grid:
             raise ValueError("the alpha grid must name at least one order")
         for alpha in self.alpha_grid:
@@ -99,10 +102,8 @@ class RunConfig:
 
 def _k_lists(policy, dims):
     """The requested k in the order given, for one dimension or per dimension
-    of a list; a k that fits no dimension, or a dimension below 1, is an error."""
+    of a list, each at least 1; a k that fits no dimension is an error."""
     tops = dims if isinstance(dims, list) else [dims]
-    if min(tops) < 1:
-        raise ValueError(f"every dimension must be at least 1, got {dims}")
     ks = range(1, max(tops) + 1) if policy in (None, "all") else policy
     unfit = [k for k in ks if not 1 <= k <= max(tops)]
     if unfit:
@@ -335,7 +336,7 @@ def _cmd_demo_bell(args) -> Batch:
 
 
 def _cmd_demo_maxbounds(args) -> Batch:
-    dims = args.dims or [6]
+    dims = [_count(m, "dimension") for m in args.dims or [6]]
     cells, lower, found, upper, applicable, satisfied = [], [], [], [], [], []
     for m, ks in zip(dims, _k_lists(args.k, dims)):
         for alpha in args.alpha or [1.0]:

@@ -14,10 +14,15 @@ Cores are called only on arguments in range by construction (``bounds._fannes``,
 README, "Batched core", says why each is), and a single value goes to a core as
 a 0-d array, never a numpy scalar: below order 1 ``np.float64 ** a`` calls
 libm's ``pow``, an array numpy's vectorized loop, and the last bits can differ.
+
+Every count (k, m, n, d, a number of states or outcomes, a dimension) passes
+:func:`_count`: an int, a numpy integer or a whole real, in range; anything else,
+a bool included, raises a ValueError whose message starts with the parameter's name.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,6 +50,15 @@ class Alpha:
 def as_alpha(alpha: AlphaLike) -> Alpha:
     """Coerce a number to :class:`Alpha`, validating positivity."""
     return alpha if isinstance(alpha, Alpha) else Alpha(float(alpha))
+
+
+def _count(value, name: str, low: int = 1, high: float = np.inf) -> int:
+    """``value`` as an int, once it is an int, numpy integer or whole real (no bool) in [low, high]."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or not low <= value <= high:
+        span = "a positive integer" if (low, high) == (1, np.inf) else f"an integer in [{low}, {high}]"
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+    return int(value)
 
 
 def _ratio(log, c: float):
@@ -128,8 +142,7 @@ def entropy_gap_bound(delta, n: int, alpha: AlphaLike):
     for any valid order.
     """
     a = as_alpha(alpha)
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _count(n, "n")
     arr = np.asarray(delta, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("delta must lie in [0, 1]")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import JointDistribution, ProbVector, _check_k, partial_sum
-from .entropy import AlphaLike
+from .classical import JointDistribution, ProbVector, partial_sum
+from .entropy import AlphaLike, _count
 
 #: Hermiticity / unit-trace construction tolerance for density operators.
 HERMITIAN_TOL = 1e-9
@@ -214,7 +214,7 @@ def ky_fan_norm(x, k: int) -> float:
     eigenvalues.
     """
     s = singular_values_descending(x)
-    k = _check_k(k, s.size)
+    k = _count(k, "k", high=s.size)
     return float(np.cumsum(s)[k - 1])
 
 
@@ -239,7 +239,7 @@ def ky_fan_distances(rho, sigma) -> np.ndarray:
 
 def ky_fan_distance(rho: DensityOperator, sigma: DensityOperator, k: int) -> float:
     """Ky Fan k-norm of the difference of two density operators."""
-    k = _check_k(k, rho.dim)
+    k = _count(k, "k", high=rho.dim)
     return float(ky_fan_distances(rho, sigma)[k - 1])
 
 
@@ -255,8 +255,8 @@ def partial_trace(rho_joint: DensityOperator, dims: tuple[int, int], keep: str =
     row-major with subsystem A as the slow index. ``keep`` selects the
     surviving factor, "A" or "B".
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a < 1 or d_b < 1 or rho_joint.dim != d_a * d_b:
+    d_a, d_b = (_count(d, "dims") for d in dims)
+    if rho_joint.dim != d_a * d_b:
         raise ValueError(f"dims {dims} do not factor dimension {rho_joint.dim}")
     r = rho_joint.matrix.reshape(d_a, d_b, d_a, d_b)
     if keep == "A":
@@ -324,9 +324,7 @@ def partial_fidelity(rho: DensityOperator, sigma: DensityOperator, k: int) -> fl
     """Tail sum of the decreasing singular values of sqrt(rho) sqrt(sigma)
     from index k+1 through d (see :func:`partial_fidelities`). Nonincreasing
     in k."""
-    if int(k) != k or not 0 <= k <= rho.dim:
-        raise ValueError(f"k must be an integer in [0, {rho.dim}], got {k!r}")
-    return float(partial_fidelities(rho, sigma)[int(k)])
+    return float(partial_fidelities(rho, sigma)[_count(k, "k", low=0, high=rho.dim)])
 
 
 def density_from_ensemble(ensemble: PureEnsemble) -> DensityOperator:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import ProbVector, _onto_simplex
+from .entropy import _count
 from .quantum import DensityOperator, DensityStack, PureEnsemble, RankOnePOVM
 
 
@@ -63,26 +64,25 @@ def near_operators(base: DensityStack, fresh: DensityStack, epsilon) -> DensityS
 
 def sample_simplex(m: int, rng: np.random.Generator) -> ProbVector:
     """Uniform draw from the m-point simplex via normalized exponentials."""
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    return ProbVector._validated(simplex_points(rng.exponential(size=int(m))))
+    return ProbVector._validated(simplex_points(rng.exponential(size=_count(m, "m"))))
 
 
 def sample_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Random density operator from a square complex Gaussian matrix G: G G*/tr."""
-    if int(d) != d or d < 1:
-        raise ValueError("d must be a positive integer")
+    d = _count(d, "d")
     return density_operators(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
 
 
 def sample_state_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random normalized ket of dimension d."""
+    d = _count(d, "d")
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
 
 
 def sample_ensemble(d: int, n_states: int, rng: np.random.Generator) -> PureEnsemble:
     """Random weights on random normalized pure states."""
+    d, n_states = _count(d, "d"), _count(n_states, "n_states")
     weights = sample_simplex(n_states, rng)
     states = np.array([sample_state_vector(d, rng) for _ in range(n_states)])
     return PureEnsemble(weights, states)
@@ -95,8 +95,8 @@ def sample_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> RankOnePOV
     S is the sum of their outer products, which makes the elements complete by
     construction.
     """
-    if n_outcomes < d:
-        raise ValueError("completeness needs at least d outcomes")
+    d = _count(d, "d")
+    n_outcomes = _count(n_outcomes, "n_outcomes", low=d)  # completeness needs at least d outcomes
     v = rng.standard_normal((n_outcomes, d)) + 1j * rng.standard_normal((n_outcomes, d))
     frame = np.einsum("ja,jb->ab", v, v.conj())
     vals, vecs = np.linalg.eigh(frame)
@@ -106,7 +106,7 @@ def sample_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> RankOnePOV
 
 def basis_povm(d: int) -> RankOnePOVM:
     """Projective measurement onto the computational basis."""
-    return RankOnePOVM(np.eye(d))
+    return RankOnePOVM(np.eye(_count(d, "d")))
 
 
 def sample_near(obj, epsilon: float, rng: np.random.Generator):

@@ -20,7 +20,9 @@ working tree is faster); ``mean_ratio``, the ratio of the two sides' total op
 time over all rounds, which is what ``bench/run.py``'s ``ops_per_s`` compares
 (op count over summed op time), so slow tail ops count in it as they do there;
 and the quartiles of the per-round ratio, each round's time summed over all ops
-on either side, which show how far the ratio spreads from round to round.
+on either side, which show how far the ratio spreads from round to round. It
+also gives ``rev_src_lines`` and ``tree_src_lines``, the ``wc -l`` totals of
+``src/entropic_sums/*.py`` at REV and in the working tree.
 
 BLAS runs single-threaded, no bytecode is written, and inputs and the export
 live in temporary directories that are removed on exit.
@@ -33,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import glob  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -71,6 +74,15 @@ def _export(rev: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return os.path.join(dest, PACKAGE)
+
+
+def _src_lines(path: str) -> int:
+    """Newlines in the package's ``*.py`` files at ``path``, as ``wc -l`` counts them."""
+    total = 0
+    for name in glob.glob(os.path.join(path, "*.py")):
+        with open(name, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _load(alias: str, path: str):
@@ -122,6 +134,7 @@ def main(argv=None) -> int:
             print(f"error: cannot export {PACKAGE} at {args.rev}: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 1
+        src_lines = [_src_lines(base), _src_lines(os.path.join(ROOT, PACKAGE))]
         sides = {args.rev: _load("ab_rev", base),
                  "working tree": _load("ab_tree", os.path.join(ROOT, PACKAGE))}
         if args.argv is None:
@@ -155,7 +168,8 @@ def main(argv=None) -> int:
     print(json.dumps({"rev": args.rev, **run, "rounds": args.rounds, "ops": len(ops),
                       "rev_ms": round(rev_ms, 3), "tree_ms": round(tree_ms, 3),
                       "ratio": round(rev_ms / tree_ms, 4), "mean_ratio": round(sum(rev_rounds) / sum(tree_rounds), 4),
-                      "round_ratio_quartiles": [round(q, 4) for q in quartiles]}))
+                      "round_ratio_quartiles": [round(q, 4) for q in quartiles],
+                      "rev_src_lines": src_lines[0], "tree_src_lines": src_lines[1]}))
     return 0
 
 
