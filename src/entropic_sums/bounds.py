@@ -136,9 +136,11 @@ def _check_distances(eps) -> None:
 def _checked(epsilon, ks) -> tuple[np.ndarray, np.ndarray]:
     """``epsilon`` and ``ks`` as arrays, once every k is known to be a positive
     integer and every distance finite and nonnegative."""
+    given = ks if isinstance(ks, np.ndarray) else np.asarray(ks, dtype=object)  # a bool in a list stays one
     ks = np.asarray(ks)  # the rule of entropy._count, with an integer or float dtype
-    if ks.dtype.kind not in "iuf" or not np.all((ks >= 1) & (ks < np.inf) & (ks == np.floor(ks))):
-        for k in [*ks.ravel().tolist(), ks]:  # raises on the first entry that is not a count, else on ks
+    if (ks.dtype.kind not in "iuf" or not np.all((ks >= 1) & (ks < np.inf) & (ks == np.floor(ks)))
+            or given.dtype == object and any(isinstance(k, (bool, np.bool_)) for k in given.flat)):
+        for k in [*given.flat, ks]:  # raises on the first entry that is not a count, else on ks
             _count(k, "k")
     eps = np.asarray(epsilon, dtype=float)
     _check_distances(eps)

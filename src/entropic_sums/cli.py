@@ -298,7 +298,7 @@ def _cmd_adversarial(args) -> Batch:
     cells, lhs, rhs, applicable = [], [], [], []
     for alpha in args.alpha or [1.0]:
         a = as_alpha(alpha)
-        bound, _, fits = bounds.fannes_bounds([grid], [[k] for k in ks], a)
+        bound, _, fits = bounds.fannes_bounds([grid], np.array(ks)[:, None], a)
         for k, bound_k, fits_k in zip(ks, bound.tolist(), fits.tolist()):
             cells += [("adversarial", alpha, k, k, args.seed)] * len(grid)
             lhs += [bounds._adversarial(k, a, eps, r).achieved if fit else None
@@ -447,16 +447,23 @@ def _build_parser() -> _Parser:
 
 
 @functools.cache
-def _leaf_parsers() -> dict[tuple[str, ...], tuple[_Parser, dict[str, str]]]:
-    """Each subcommand's parser and the values the parsers above it set, keyed by
-    its words, as read off :func:`_build_parser`: ``("demo", "maxbounds")`` maps
-    to that parser and ``{"command": "demo", "demo_command": "maxbounds"}``."""
+def _leaf_parsers() -> dict[tuple[str, ...], tuple[_Parser, dict[str, str], tuple]]:
+    """Each subcommand's parser, the values the parsers above it set and its :func:`_plain`
+    table, keyed by its words, as read off :func:`_build_parser`: ``("demo", "maxbounds")``
+    maps to that parser, ``{"command": "demo", "demo_command": "maxbounds"}`` and the
+    namespace of its shortest line (each positional ``"x"``), its positional action and
+    the word count its ``nargs`` asks for (0 if none), and its one-value options by name."""
     leaves = {}
 
     def walk(parser, words, names):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
-            leaves[words] = parser, names
+            inputs = next((a for a in parser._actions if not a.option_strings), None)
+            nargs = inputs.nargs if inputs else 0
+            start = parser.parse_args(["x"] * (1 if nargs == "+" else nargs), argparse.Namespace(**names))
+            options = {s: a for a in parser._actions if type(a) is argparse._StoreAction and a.nargs is None
+                       for s in a.option_strings}
+            leaves[words] = parser, names, (vars(start), inputs, nargs, options)
         for action in subs:
             for name, child in action.choices.items():
                 walk(child, (*words, name), {**names, action.dest: name})
@@ -465,15 +472,42 @@ def _leaf_parsers() -> dict[tuple[str, ...], tuple[_Parser, dict[str, str]]]:
     return leaves
 
 
+def _plain(leaf: _Parser, table: tuple, words: list[str]) -> argparse.Namespace | None:
+    """``leaf.parse_args(words, ...)`` for a plain line, else None: as many positionals as
+    ``nargs`` asks for, then ``OPTION VALUE`` pairs, each ``OPTION`` a table option in full
+    and each ``VALUE`` nonempty, not an option to ``leaf``, of its ``type`` and ``choices``."""
+    start, inputs, nargs, options = table
+    plain = [w[:1] not in ("", "-") or bool(leaf._negative_number_matcher.match(w)) for w in words]
+    n = (plain + [False]).index(False)
+    if (len(words) - n) % 2 or not all(plain[n + 1::2]) or not (n >= 1 if nargs == "+" else n == nargs):
+        return None
+
+    def value(action, text):
+        converted = leaf._get_value(action, text)
+        leaf._check_value(action, converted)
+        return converted
+
+    values = dict(start)
+    try:
+        if inputs:
+            values[inputs.dest] = [value(inputs, text) for text in words[:n]]
+        for option, text in zip(words[n::2], words[n + 1::2]):  # a repeated option keeps its last value
+            values[options[option].dest] = value(options[option], text)
+    except (KeyError, _UsageError, argparse.ArgumentError):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``argv`` parsed by the parser of the subcommand its first words name, as every
-    later word belongs to that parser; any other line (help, a bare ``demo``, an
-    unknown command, an option before the command) by the top-level parser."""
+    later word belongs to that parser (straight from its table if the rest is a plain
+    line); any other line (help, a bare ``demo``, an unknown command, an option before
+    the command) by the top-level parser."""
     leaves = _leaf_parsers()
     for n in (1, 2):
         if tuple(argv[:n]) in leaves:
-            leaf, names = leaves[tuple(argv[:n])]
-            return leaf.parse_args(argv[n:], argparse.Namespace(**names))
+            leaf, names, table = leaves[tuple(argv[:n])]
+            return _plain(leaf, table, argv[n:]) or leaf.parse_args(argv[n:], argparse.Namespace(**names))
     return _build_parser().parse_args(argv)
 
 

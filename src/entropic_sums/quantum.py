@@ -255,6 +255,8 @@ def partial_trace(rho_joint: DensityOperator, dims: tuple[int, int], keep: str =
     row-major with subsystem A as the slow index. ``keep`` selects the
     surviving factor, "A" or "B".
     """
+    if len(dims) != 2:
+        raise ValueError(f"dims must be a pair (d_a, d_b), got {dims!r}")
     d_a, d_b = (_count(d, "dims") for d in dims)
     if rho_joint.dim != d_a * d_b:
         raise ValueError(f"dims {dims} do not factor dimension {rho_joint.dim}")

@@ -1,11 +1,13 @@
 """Tests for the command-line front end: subcommands, formats, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -784,12 +786,17 @@ class TestLeafDispatch:
         "--help", "-h", "eval --help", "check -h", "sweep --help", "adversarial -h", "demo --help",
         "demo -h", "demo instability --help", "demo bell -h", "demo maxbounds --help",
         "demo", "", "frobnicate", "demo frobnicate", "--seed 1 adversarial",
+        # plain-shape edge cases: the first four and the last two are plain lines
+        "adversarial --k 1 --seed -1", "demo instability --eps -0.5", "adversarial --k 1 --k 2 --eps 0.05",
+        "sweep --trials 1 --k all", "adversarial --eps -1e-3", "adversarial --k 1 --format ''",
+        "adversarial --k 1 --format xml", "check --alpha 1 P Q", "demo bell --theta 0.5 --format json",
+        "check P Q --seed 2 --k 1",
     ]
 
     def run(self, lines, files, capsys):
         outcomes = []
         for line in lines:
-            code = cli_main([files.get(word, word) for word in line.split()])
+            code = cli_main([files.get(word, word) for word in shlex.split(line)])
             outcomes.append((line, code, *capsys.readouterr()))
         return outcomes
 
@@ -807,6 +814,9 @@ class TestLeafDispatch:
 
     @pytest.mark.parametrize("line", SUBCOMMAND_LINES)
     def test_a_subcommand_line_is_parsed_once(self, prob_files, monkeypatch, capsys, line):
+        # a plain line is read from the leaf's table with no argparse parse; any other
+        # line is parsed by the leaf's parser alone, exactly once
+        cli._leaf_parsers()  # the table is built (with one parse per leaf) before counting
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -817,7 +827,38 @@ class TestLeafDispatch:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
         argv = [{"P": prob_files[0], "Q": prob_files[1]}.get(word, word) for word in line.split()]
         assert cli_main(argv) == 0
-        assert calls == [f"entropic-sums {' '.join(argv[:2 if argv[0] == 'demo' else 1])}"]
+        assert calls == []
+        for tail in (["--alpha=1"], ["--alph", "1"], ["--help"]):
+            assert cli_main(argv + tail) in (0, 1)
+            assert calls == [f"entropic-sums {' '.join(argv[:2 if argv[0] == 'demo' else 1])}"]
+            calls.clear()
+
+    #: Values each of some option takes, then values that look like an option or fail every type.
+    VALUES = ["1", "2", "0.5", "1,2", "-1", "-0.5", "all", "csv", "json", "f.csv"]
+    BAD_VALUES = ["-1e-3", "", "x", "xml", "nan", "1,,2", ",", "--", "-x", "a b", "0"]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_a_plain_line_reads_as_its_leaf_parses_it(self, data):
+        words = data.draw(st.sampled_from(sorted(cli._leaf_parsers())))
+        leaf, names, table = cli._leaf_parsers()[words]
+        vocabulary = sorted({s for a in leaf._actions for s in a.option_strings})
+        inputs = ["P"] * {("eval",): 1, ("check",): 2}.get(words, 0)
+        options = st.sampled_from([s for s in vocabulary if s not in ("-h", "--help")] * 3 + ["-h", "--help"])
+        pairs = data.draw(st.lists(st.tuples(options, st.sampled_from(self.VALUES)), max_size=3))
+        line = inputs + [word for pair in pairs for word in pair]
+        if data.draw(st.integers(0, 2)) == 0:  # one more word anywhere: malformed, misplaced or one too many
+            malformed = ["--alph", "--alpha=1", "--k=2", "--", "-x", "--bogus"]
+            word = data.draw(st.sampled_from(malformed + self.BAD_VALUES + vocabulary + self.VALUES))
+            line.insert(data.draw(st.integers(0, len(line))), word)
+        fast = cli._plain(leaf, table, line)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                parsed = leaf.parse_args(line, argparse.Namespace(**names))
+        except (cli._UsageError, SystemExit):
+            parsed = None  # rejected, or help
+        if fast is not None:  # compared by repr, as nan != nan
+            assert parsed is not None and repr(sorted(vars(fast).items())) == repr(sorted(vars(parsed).items()))
 
 
 class TestEverySubcommand:

@@ -174,3 +174,17 @@ def test_every_public_count_parameter_is_in_the_table():
         found |= {(name, p) for p in inspect.signature(value).parameters if p in COUNT_NAMES}
     assert found - EXEMPT <= set(COUNT_PARAMETERS)
     assert EXEMPT <= found
+
+
+@pytest.mark.parametrize("ks", [[2, True], [[2], [True]], (np.True_, 2)], ids=str)
+def test_a_bool_inside_a_list_of_k_is_refused(ks):
+    # numpy reads [2, True] as the integer array [2, 1]; the rule sees the bool itself
+    with pytest.raises(ValueError, match=r"^k must be a positive integer, got (True|np\.True_)$"):
+        fannes_bounds([0.1, 0.2], ks, 1.0)
+
+
+@pytest.mark.parametrize("call", [partial_trace, product_monotonicity_preconditions])
+@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), ()], ids=str)
+def test_dims_of_any_length_but_two_is_refused(call, dims):
+    with pytest.raises(ValueError, match=r"^dims must be a pair \(d_a, d_b\), got "):
+        call(_RHO4, dims)

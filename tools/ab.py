@@ -22,7 +22,9 @@ time over all rounds, which is what ``bench/run.py``'s ``ops_per_s`` compares
 and the quartiles of the per-round ratio, each round's time summed over all ops
 on either side, which show how far the ratio spreads from round to round. It
 also gives ``rev_src_lines`` and ``tree_src_lines``, the ``wc -l`` totals of
-``src/entropic_sums/*.py`` at REV and in the working tree.
+``src/entropic_sums/*.py`` at REV and in the working tree, and each side's
+``op_ms_p50`` and ``op_ms_p90`` (``rev_op_ms_p50`` and so on) over all timed
+ops, the median and the top inclusive 10-quantile, from ``bench/run.py``'s own function.
 
 BLAS runs single-threaded, no bytecode is written, and inputs and the export
 live in temporary directories that are removed on exit.
@@ -123,6 +125,7 @@ def _fresh_run(cli, op):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import run as bench_run
     import workloads
 
     with tempfile.TemporaryDirectory(prefix="entropic-ab-") as tmp:
@@ -164,12 +167,20 @@ def main(argv=None) -> int:
     rev_rounds, tree_rounds = ([sum(column) for column in zip(*per_op)] for per_op in times.values())
     ratios = [r / t for r, t in zip(rev_rounds, tree_rounds)]
     quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    latency = []
+    for per_op in times.values():
+        seconds = [t for slot in per_op for t in slot]
+        # one timed op is read as two equal ones, which have the same median and quantiles
+        latency.append([round(1e3 * q, 4) for q in bench_run._p50_p90(seconds * (2 if len(seconds) == 1 else 1))])
+    (rev_p50, rev_p90), (tree_p50, tree_p90) = latency
     run = {"workload": args.workload, "seed": args.seed} if args.argv is None else {"argv": args.argv}
     print(json.dumps({"rev": args.rev, **run, "rounds": args.rounds, "ops": len(ops),
                       "rev_ms": round(rev_ms, 3), "tree_ms": round(tree_ms, 3),
                       "ratio": round(rev_ms / tree_ms, 4), "mean_ratio": round(sum(rev_rounds) / sum(tree_rounds), 4),
                       "round_ratio_quartiles": [round(q, 4) for q in quartiles],
-                      "rev_src_lines": src_lines[0], "tree_src_lines": src_lines[1]}))
+                      "rev_src_lines": src_lines[0], "tree_src_lines": src_lines[1],
+                      "rev_op_ms_p50": rev_p50, "tree_op_ms_p50": tree_p50,
+                      "rev_op_ms_p90": rev_p90, "tree_op_ms_p90": tree_p90}))
     return 0
 
 
