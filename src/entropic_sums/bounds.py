@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, quantum
-from .entropy import (Alpha, AlphaLike, _count, _qlog, _term, as_alpha, entropy_gap_bound,
-                      entropy_term, entropy_term_argmax)
+from .entropy import Alpha, AlphaLike, _count, _qlog, _term, as_alpha, entropy_term, entropy_term_argmax
 
 #: Tolerance for inequality verdicts.
 DEFAULT_CHECK_TOL = 1e-9
@@ -134,29 +133,25 @@ def _check_distances(eps) -> None:
 
 
 def _checked(epsilon, ks) -> tuple[np.ndarray, np.ndarray]:
-    """``epsilon`` and ``ks`` as arrays, once every k is known to be a positive
-    integer and every distance finite and nonnegative."""
-    given = ks if isinstance(ks, np.ndarray) else np.asarray(ks, dtype=object)  # a bool in a list stays one
-    ks = np.asarray(ks)  # the rule of entropy._count, with an integer or float dtype
-    if (ks.dtype.kind not in "iuf" or not np.all((ks >= 1) & (ks < np.inf) & (ks == np.floor(ks)))
-            or given.dtype == object and any(isinstance(k, (bool, np.bool_)) for k in given.flat)):
-        for k in given.flat:  # raises on the first entry that is not a count, or is one no integer array holds
-            _count(_count(k, "k"), "k", high=np.iinfo(np.uint64).max)
-        _count(ks, "k")
+    """``epsilon`` and ``ks`` as float arrays, once each k passes the count rule up to
+    2**64 - 1, the most an integer array holds, and each distance is finite and nonnegative."""
+    entries = np.asarray(ks, dtype=object)  # a bool stays one, and an int keeps its value
+    ks = np.array([_count(_count(k, "k"), "k", high=2 ** 64 - 1) for k in entries.flat],
+                  dtype=float).reshape(entries.shape)
     eps = np.asarray(epsilon, dtype=float)
     _check_distances(eps)
     return eps, ks
 
 
-def _fannes(eps: np.ndarray, ks: np.ndarray, a: Alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fannes_bounds` of distances and k already checked."""
-    kf = ks.astype(float)
+def _fannes(eps: np.ndarray, ks: np.ndarray, a: Alpha, high: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fannes_bounds` of distances and k (floats) already checked; ``high`` takes
+    the form for orders above 2 at any order."""
     x0 = entropy_term_argmax(a)
-    threshold = np.full(kf.shape, x0) if a.value <= 2.0 else np.minimum(x0, (kf + 1.0) / (kf + 2.0))
-    inside = np.minimum(eps, 1.0)
-    high = a.value > 2.0  # the rhs adds binary_entropy(inside); both its terms come from one call
-    term, *other = _term(np.stack([inside, 1.0 - inside]), a) if high else [_term(np.asarray(inside), a)]
-    rhs = inside ** a.value * _qlog(np.asarray(kf + 1.0), a) + term
+    high = high or a.value > 2.0  # the rhs adds binary_entropy(inside); both its terms come from one call
+    threshold = np.minimum(x0, (ks + 1.0) / (ks + 2.0)) if high else np.full(ks.shape, x0)
+    inside = np.asarray(np.minimum(eps, 1.0))  # an array at 0-d too, so ** below is numpy's loop
+    term, *other = _term(np.stack([inside, 1.0 - inside]), a) if high else [_term(inside, a)]
+    rhs = inside ** a.value * _qlog(np.asarray(ks + 1.0), a) + term
     if high:
         rhs = rhs + (term + other[0])
     rhs = np.where(eps > 1.0, np.nan, rhs)
@@ -222,7 +217,7 @@ def pair_checks(values_a, values_b, distances, alphas, tol: float | None = None)
     lhs = np.broadcast_to(np.abs(sums[0] - sums[1]), shape)
     eps = np.broadcast_to(eps, shape)
     _check_distances(eps)
-    ks = np.arange(1, lhs.shape[-1] + 1)
+    ks = np.arange(1.0, lhs.shape[-1] + 1.0)
     per_order = [_fannes(eps[..., i, :], ks, a) for i, a in enumerate(alphas)]
     rhs, threshold, applicable = (np.stack(col, axis=-2) for col in zip(*per_order))
     return CheckTable(alphas=alphas, lhs=lhs, epsilon=eps, rhs=rhs, threshold=threshold,
@@ -287,17 +282,16 @@ def check_fidelity_variant(rho, sigma, k: int, alpha: AlphaLike, tol: float | No
 
 
 def stability_threshold(k: int, alpha: AlphaLike) -> float:
-    """Upper end of the stability interval: min of the term argmax and (k+1)/(k+2)."""
-    a = as_alpha(alpha)
-    k = _count(k, "k")
-    return min(entropy_term_argmax(a), (k + 1) / (k + 2))
+    """Upper end of the stability interval, min(term argmax, (k+1)/(k+2)): the bound's threshold above order 2."""
+    return float(_fannes(*_checked(0.0, k), as_alpha(alpha), high=True)[1])
 
 
 def stability_delta(xi: float, k: int, alpha: AlphaLike) -> float:
     """Normalized stability bound for the k-th partial sum at distance xi.
 
-    Divides ``entropy_gap_bound(xi, k+1) + entropy_term(xi)`` by a lower bound
-    on the maximal partial sum, the lower end of
+    Divides the continuity bound at xi in its form for orders above 2
+    (``entropy_gap_bound(xi, k+1) + entropy_term(xi)``) by a lower bound on
+    the maximal partial sum, the lower end of
     :func:`~entropic_sums.classical.max_partial_bounds`: ``q_log(k)`` for
     k >= 2, and the exact one-term maximum for k = 1 (where ``q_log(1)`` is 0
     and would not normalize).
@@ -309,8 +303,7 @@ def stability_delta(xi: float, k: int, alpha: AlphaLike) -> float:
     xi = float(xi)
     if not 0.0 < xi <= eps0:
         raise ValueError(f"xi must lie in (0, {eps0}], got {xi}")
-    numerator = entropy_gap_bound(xi, k + 1, a) + entropy_term(xi, a)
-    return numerator / classical.max_partial_bounds(k, a)[0]
+    return float(_fannes(*_checked(xi, k), a, high=True)[0]) / classical.max_partial_bounds(k, a)[0]
 
 
 def _pair_residual(x: np.ndarray, y: np.ndarray, epsilon: float) -> float:

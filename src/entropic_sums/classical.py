@@ -154,11 +154,8 @@ def partial_sum(p, k: int, alpha: AlphaLike) -> float:
 
 
 def kolmogorov_distance(p, q) -> float:
-    """Half the l1 distance between two equal-length probability vectors."""
-    p, q = _as_prob(p), _as_prob(q)
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return 0.5 * float(np.abs(p.values - q.values).sum())
+    """Half the l1 distance of two equal-length probability vectors: half the last :func:`partial_distances` entry."""
+    return 0.5 * float(partial_distances(_as_prob(p), _as_prob(q))[-1])
 
 
 def partial_distances(p, q) -> np.ndarray:

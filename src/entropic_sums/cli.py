@@ -92,25 +92,29 @@ class RunConfig:
         if len(self.dims) == 0:
             raise ValueError("dims must name at least one dimension")
         self.dims = [_count(d, "dimension") for d in self.dims]
+        entries = min(self.trials, SWEEP_CHUNK) * sum(d * d for d in self.dims)
+        if entries > SWEEP_MAX_ENTRIES:
+            raise ValueError(f"dims ask for {entries} matrix entries per chunk, past the cap of {SWEEP_MAX_ENTRIES}")
         if self.k_policy not in (None, "all"):
             self.k_policy = [_count(k, "k") for k in self.k_policy]
+            if not self.k_policy:
+                raise ValueError("k_policy must name at least one k")
         if not self.alpha_grid:
             raise ValueError("the alpha grid must name at least one order")
         for alpha in self.alpha_grid:
             as_alpha(alpha)  # raises for an order that is not positive and finite
 
 
-def _k_lists(policy, dims):
-    """The requested k in the order given, for one dimension or per dimension
-    of a list, each at least 1; a k that fits no dimension is an error."""
-    tops = dims if isinstance(dims, list) else [dims]
-    ks = range(1, max(tops) + 1) if policy in (None, "all") else policy
-    unfit = [k for k in ks if not 1 <= k <= max(tops)]
+def _k_lists(policy, dims: list[int]) -> list[list[int]]:
+    """The requested k in the order given, per dimension of ``dims``, each at
+    least 1; a k that fits no dimension is an error."""
+    top = max(dims)
+    ks = range(1, top + 1) if policy in (None, "all") else policy
+    unfit = [k for k in ks if not 1 <= k <= top]
     if unfit:
-        raise ValueError(f"k={unfit[0]} fits none of the dimensions {dims}" if tops is dims
-                         else f"k={unfit[0]} is outside [1, {dims}] for dimension {dims}")
-    ranges = [[k for k in ks if 1 <= k <= top] for top in tops]
-    return ranges if tops is dims else ranges[0]
+        raise ValueError(f"k={unfit[0]} is outside [1, {top}] for dimension {top}" if len(dims) == 1
+                         else f"k={unfit[0]} fits none of the dimensions {dims}")
+    return [[k for k in ks if 1 <= k <= m] for m in dims]
 
 
 class Batch(NamedTuple):
@@ -128,6 +132,11 @@ _VARYING = ReportRow._fields[4:10]
 #: Trials that ``sweep`` draws, checks and writes at a time; memory stays flat
 #: in ``--trials``, and the output does not depend on it.
 SWEEP_CHUNK = 64
+#: Largest ``min(trials, SWEEP_CHUNK) * sum(d * d for d in dims)`` a :class:`RunConfig` takes, as a
+#: chunk holds several arrays that size; at the cap (d = 128 at 64 trials) a sweep peaks near 170 MB.
+SWEEP_MAX_ENTRIES = 2 ** 20
+#: Largest ``demo maxbounds`` dimension: ``--k all`` gives m rows per order, about 2 s an order at the cap.
+MAXBOUNDS_MAX_DIM = 2 ** 16
 
 
 def _cut(table: bounds.CheckTable, trials: int, index: list[int]) -> tuple[list, ...]:
@@ -238,7 +247,7 @@ def _cmd_eval(args) -> Batch:
         ens, povm = objs if isinstance(objs[0], PureEnsemble) else objs[::-1]
         rho = density_from_ensemble(ens)
         joint = povm_joint_probs(ens, povm).flattened()
-        ks = _k_lists(args.k, rho.dim)
+        [ks] = _k_lists(args.k, [rho.dim])
         lhs = partial_sums(spectra(rho), alphas)[:, [k - 1 for k in ks]].ravel()
         rhs = partial_sums(joint, alphas)[:, [min(k * povm.n_outcomes, joint.dim) - 1 for k in ks]].ravel()
         # no verdict: lhs <= rhs holds for the state's spectral ensemble, not for every ensemble
@@ -254,7 +263,7 @@ def _cmd_eval(args) -> Batch:
     dim = probs[0].size
     if probs[-1].size != dim:
         raise ValueError("the two instances must have equal dimension")
-    ks = _k_lists(args.k, dim)
+    [ks] = _k_lists(args.k, [dim])
     at = [k - 1 for k in ks]
     cells = [(f"eval_{kind}_partial_sum{suffix}", alpha, k, dim, args.seed)
              for suffix in (["_a", "_b"] if len(objs) == 2 else [""]) for alpha in alphas for k in ks]
@@ -281,7 +290,7 @@ def _cmd_check(args) -> Batch:
     else:
         raise ValueError("check needs two distributions or two density operators")
     dim = first.dim
-    ks = _k_lists(args.k, dim)
+    [ks] = _k_lists(args.k, [dim])
     grid = [(e, i, k) for i in range(len(alphas)) for k in ks for e in range(len(experiments))]
     cells = [(experiments[e], alphas[i], k, dim, args.seed) for e, i, k in grid]
     index = [(e * len(alphas) + i) * dim + k - 1 for e, i, k in grid]
@@ -319,7 +328,7 @@ def _cmd_demo_instability(args) -> Batch:
 
 
 def _cmd_demo_bell(args) -> Batch:
-    alphas, ks = args.alpha or [1.0], _k_lists(args.k, 2)
+    alphas, [ks] = args.alpha or [1.0], _k_lists(args.k, [2])
     cells, reduced, joint_sums, applicable = [], [], [], []
     for theta in args.theta or [np.pi / 6, np.pi / 4]:
         joint = schmidt_pure_state(theta)
@@ -337,7 +346,7 @@ def _cmd_demo_bell(args) -> Batch:
 
 
 def _cmd_demo_maxbounds(args) -> Batch:
-    dims = [_count(m, "dimension") for m in args.dims or [6]]
+    dims = [_count(m, "dimension", high=MAXBOUNDS_MAX_DIM) for m in args.dims or [6]]
     cells, lower, found, upper, applicable, satisfied = [], [], [], [], [], []
     for m, ks in zip(dims, _k_lists(args.k, dims)):
         for alpha in args.alpha or [1.0]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical import ProbVector, _onto_simplex
 from .entropy import _count
-from .quantum import DensityOperator, DensityStack, PureEnsemble, RankOnePOVM
+from .quantum import DensityOperator, DensityStack, PureEnsemble, RankOnePOVM, ky_fan_distances
 
 
 def simplex_points(draws) -> np.ndarray:
@@ -56,10 +56,8 @@ def near_operators(base: DensityStack, fresh: DensityStack, epsilon) -> DensityS
     """Validated mixtures of each density operator of the stack ``base`` with
     the matching one of ``fresh``, within trace distance ``epsilon[i]`` of the i-th."""
     diff = fresh.matrices - base.matrices
-    # the trace norm, summed in the order of ky_fan_norm
-    dist = np.cumsum(np.linalg.svd(diff, compute_uv=False), axis=-1)[..., -1]
     # the mixtures have the leading shape of base, so an operator's mix is an operator
-    return type(base)(_mix(base.matrices, diff, epsilon, dist))
+    return type(base)(_mix(base.matrices, diff, epsilon, ky_fan_distances(fresh, base)[..., -1]))
 
 
 def sample_simplex(m: int, rng: np.random.Generator) -> ProbVector:

@@ -14,17 +14,28 @@ from entropic_sums import (
     DensityOperator,
     DensityStack,
     RunConfig,
+    adversarial_search,
     binary_entropy,
+    check_classical,
+    check_quantum,
+    classical_checks,
     cli_main,
     density_checks,
     entropy_term,
     entropy_term_argmax,
+    fannes_bound,
     fannes_bounds,
     fidelity_checks,
+    kolmogorov_distance,
+    ky_fan_distance,
     ky_fan_distances,
+    max_partial_bounds,
     pair_checks,
+    partial_distance,
     partial_distances,
     partial_fidelities,
+    partial_fidelity,
+    partial_sum,
     partial_sums,
     psd_sqrt,
     q_log,
@@ -34,6 +45,8 @@ from entropic_sums import (
     sample_near,
     sample_simplex,
     spectra,
+    stability_delta,
+    stability_threshold,
 )
 from entropic_sums.cli import SWEEP_CHUNK
 from entropic_sums.sampling import density_operators, near_operators, near_points, simplex_points
@@ -182,6 +195,83 @@ class TestFannesBounds:
         p = np.array([0.5, 0.3, 0.2])
         with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real"):
             pair_checks(p, p, [0.0, bad, 0.0], [0.5, 2.5])
+
+
+#: Orders on both sides of 1 and of 2, where the kernels and the bound change form.
+CELL_ORDERS = (0.3, 0.7, 0.9, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0)
+
+
+class TestScalarCells:
+    """Every scalar API gives, bit for bit, one cell of its stacked form.
+    Values are compared by repr, so that a NaN equals a NaN."""
+
+    def test_fannes_bound_is_a_cell_of_fannes_bounds(self):
+        rng = np.random.default_rng(29)
+        eps = np.concatenate([np.geomspace(1e-6, 1.0, 16), 10.0 ** rng.uniform(-6.0, 0.0, 16), [1.3]])
+        ks = np.arange(1, 51)
+        for alpha in CELL_ORDERS:
+            rhs, threshold, applicable = fannes_bounds(eps[:, None], ks, alpha)
+            for i, e in enumerate(eps.tolist()):
+                for k in ks.tolist():
+                    bound = fannes_bound(e, k, alpha)
+                    cell = (i, k - 1)
+                    assert repr((bound.rhs, bound.threshold, bound.applicable)) == repr(
+                        (float(rhs[cell]), float(threshold[cell]), bool(applicable[cell]))), (e, k, alpha)
+
+    def test_adversarial_search_bound_is_the_commands_rhs(self, capsys):
+        alphas, ks, grid = CELL_ORDERS, [1, 2, 3, 8, 50], [1e-6, 1e-4, 0.003, 0.01, 0.05, 0.1, 0.3]
+        argv = ["adversarial", "--alpha", ",".join(map(repr, alphas)), "--k", ",".join(map(str, ks)),
+                "--eps", ",".join(map(repr, grid)), "--format", "json"]
+        assert cli_main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        applicable = [row for row in rows if row["applicable"]]
+        assert len(rows) == len(alphas) * len(ks) * len(grid) and len(applicable) > len(rows) // 2
+        for row in applicable:
+            result = adversarial_search(row["k"], row["alpha"], row["epsilon"])
+            assert repr((result.achieved, result.bound_rhs)) == repr((row["lhs"], row["rhs"])), row
+
+    def test_stability_threshold_and_delta_are_cells_of_the_bound(self):
+        for alpha in CELL_ORDERS:
+            for k in range(1, 51):
+                threshold = min(entropy_term_argmax(alpha), (k + 1) / (k + 2))
+                assert repr(stability_threshold(k, alpha)) == repr(threshold)
+                if alpha > 2.0:
+                    xi = np.geomspace(1e-6, threshold, 12)
+                    stacked = fannes_bounds(xi, k, alpha)[0] / max_partial_bounds(k, alpha)[0]
+                    for x, delta in zip(xi.tolist(), stacked.tolist()):
+                        assert repr(stability_delta(x, k, alpha)) == repr(delta), (x, k, alpha)
+
+    def test_kolmogorov_distance_is_half_the_last_partial_distance(self):
+        rng = np.random.default_rng(11)
+        for m in range(1, 41):
+            p, q = simplex_points(rng.exponential(size=(2, 8, m)))
+            stacked = partial_distances(p, q)[:, -1].tolist()
+            for i in range(8):
+                assert repr(2 * kolmogorov_distance(p[i], q[i])) == repr(stacked[i]), (m, i)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_sums_distances_fidelities_and_checks_are_cells_of_their_stacks(self, d):
+        n = 4
+        rng = np.random.default_rng(d)
+        base, fresh = simplex_points(rng.exponential(size=(2, n, d)))
+        p, q = base, near_points(base, fresh, 10.0 ** rng.uniform(-3.0, 0.3, n))
+        rho, fresh_rho = (density_operators(*rng.standard_normal((2, n, d, d))) for _ in range(2))
+        sigma = near_operators(rho, fresh_rho, 10.0 ** rng.uniform(-3.0, 0.3, n))
+        sums, distances = partial_sums(p, CELL_ORDERS), partial_distances(p, q)
+        ky_fan, fidelities = ky_fan_distances(rho, sigma), partial_fidelities(rho, sigma)
+        classical, quantum = classical_checks(p, q, CELL_ORDERS), quantum_checks(rho, sigma, CELL_ORDERS)
+        for i in range(n):
+            r, s = DensityOperator(rho.matrices[i]), DensityOperator(sigma.matrices[i])
+            assert repr(partial_fidelity(r, s, 0)) == repr(float(fidelities[i, 0]))
+            for k in range(1, d + 1):
+                assert repr(partial_distance(p[i], q[i], k)) == repr(float(distances[i, k - 1]))
+                assert repr(ky_fan_distance(r, s, k)) == repr(float(ky_fan[i, k - 1]))
+                assert repr(partial_fidelity(r, s, k)) == repr(float(fidelities[i, k]))
+                for a, alpha in enumerate(CELL_ORDERS):
+                    cell = (i, a, k - 1)
+                    assert repr(partial_sum(p[i], k, alpha)) == repr(float(sums[cell]))
+                    assert repr(check_classical(p[i], q[i], k, alpha)) == repr(classical.cell(cell))
+                    assert repr(check_quantum(r, s, k, alpha)) == repr(quantum.cell(cell))
 
 
 def spectrum(rho):

@@ -234,6 +234,33 @@ class TestSweepCommand:
             RunConfig(seed=0, trials=0, alpha_grid=[1.0])
         with pytest.raises(ValueError):
             RunConfig(seed=0, trials=1, alpha_grid=[-1.0])
+        with pytest.raises(ValueError, match="^k_policy must name at least one k$"):
+            RunConfig(seed=0, trials=3, alpha_grid=[1.0], k_policy=[])
+
+    def test_runconfig_caps_the_matrix_entries_of_a_chunk(self):
+        # a full chunk of d = 128, or one trial of d = 1024, is the largest sweep taken
+        assert cli.SWEEP_MAX_ENTRIES == cli.SWEEP_CHUNK * 128 ** 2 == 1024 ** 2
+        RunConfig(seed=0, trials=10 ** 6, alpha_grid=[1.0], dims=[128])
+        RunConfig(seed=0, trials=1, alpha_grid=[1.0], dims=[1024])
+        refusal = r"^dims ask for \d+ matrix entries per chunk, past the cap of 1048576$"
+        for trials, dims in ((cli.SWEEP_CHUNK, [128, 1]), (1, [1024, 1]), (100, [10 ** 20])):
+            with pytest.raises(ValueError, match=refusal):
+                RunConfig(seed=0, trials=trials, alpha_grid=[1.0], dims=dims)
+
+    @pytest.mark.parametrize("argv", [["--dims", "99999999999999999999"], ["--dims", "100000"],
+                                      ["--dims", "129", "--trials", "64"], ["--dims", "2,1024", "--trials", "1"]])
+    def test_dims_past_the_entry_cap_are_an_input_error(self, capsys, argv):
+        assert cli_main(["sweep", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dims ask for ")
+        assert captured.err.endswith(f" past the cap of {cli.SWEEP_MAX_ENTRIES}\n")
+
+    def test_k_outside_one_dimension_or_all_of_several_is_named(self, capsys):
+        assert cli_main(["sweep", "--dims", "2", "--k", "3"]) == 1
+        assert capsys.readouterr().err == "error: k=3 is outside [1, 2] for dimension 2\n"
+        assert cli_main(["sweep", "--dims", "2,3", "--k", "1,4"]) == 1
+        assert capsys.readouterr().err == "error: k=4 fits none of the dimensions [2, 3]\n"
 
     @pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
     def test_runconfig_rejects_non_integer_trials(self, trials):
@@ -531,6 +558,15 @@ class TestDemoCommands:
         assert code == 1
         assert captured.out == ""
         assert "k=3" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--dims", "99999999999999999999"], ["--dims", "65537", "--k", "1"],
+                                      ["--dims", "4,65537", "--k", "all"]])
+    def test_maxbounds_dimension_past_the_cap_is_an_input_error(self, capsys, argv):
+        assert cli_main(["demo", "maxbounds", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: dimension must be an integer in [1, {cli.MAXBOUNDS_MAX_DIM}], "
+                                f"got {argv[1].split(',')[-1]}\n")
 
     @pytest.mark.parametrize("dims", ["0", "-3", "4,0"])
     def test_dimension_below_one_is_an_error(self, capsys, dims):

@@ -191,6 +191,17 @@ def test_a_k_no_integer_array_holds_is_named(ks):
         fannes_bounds(0.1, ks, 1.0)
 
 
+def test_an_array_of_k_is_checked_entry_by_entry_whatever_its_dtype():
+    expected = fannes_bounds([[0.1], [0.2]], [1, 2], 1.0)
+    for ks in (np.array([1, 2], dtype=object), np.array([1.0, 2.0]), np.array([1, 2], dtype=np.uint8)):
+        for got, want in zip(fannes_bounds([[0.1], [0.2]], ks, 1.0), expected):
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"^k must be a positive integer, got 2\.5$"):
+        fannes_bounds(0.1, np.array([1, 2.5], dtype=object), 1.0)
+    with pytest.raises(ValueError, match=r"^k must be a positive integer, got True$"):
+        fannes_bounds(0.1, np.array([True, True]), 1.0)
+
+
 @pytest.mark.parametrize("call", [partial_trace, product_monotonicity_preconditions])
 @pytest.mark.parametrize("dims", [(2, 2, 1), (4,), ()], ids=str)
 def test_dims_of_any_length_but_two_is_refused(call, dims):
